@@ -2,8 +2,9 @@
 stderr.
 
 Exit codes: 0 success, 1 refusal (budget, missing primes, regime), 2 usage
-error, 3 internal invariant violation.  The enumeration budget can be
-overridden with the BPLINKS_TAU_BUDGET environment variable.
+error, 3 internal invariant violation.  The signature budget (points for
+tau_brute, residue-DP steps for tau_kernel) is set by --budget or the
+BPLINKS_TAU_BUDGET environment variable and bounds both methods.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_tau(args) -> int:
     a = exponent_vector(args.exponents)
-    sig = tau_brute(a, budget=args.budget) if args.method == "brute" else tau_kernel(a)
+    engine = tau_brute if args.method == "brute" else tau_kernel
+    sig = engine(a, budget=args.budget)
     out = {
         "vector": list(a),
         "tau": sig.tau,

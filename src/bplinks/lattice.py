@@ -2,24 +2,24 @@
 enumeration and by a 2-coordinate kernel, plus the gamma/delta/beta
 counters used to certify the quasi-polynomial structure.
 
-All threshold comparisons are exact rationals; there is no epsilon
-anywhere.  Points whose coordinate sum is an integer fall on a window
-boundary: they are never silently dropped but counted separately (they
-cannot occur for homotopy spheres, so a nonzero boundary count flags a
-non-sphere input).
+The kernel runs on integers: a residue DP folds the outer coordinates, and
+one floor-sum counter (_lattice_2d, O(log) per call) counts the inner
+box below each window edge.  The Fraction front ends (strip_count_2d,
+window_weight, count_box) turn a rational threshold into an integer one
+exactly, so there is no epsilon anywhere.  Points whose coordinate sum is
+an integer fall on a window boundary: they are never silently dropped but
+counted separately (they cannot occur for homotopy spheres, so a nonzero
+boundary count flags a non-sphere input).
 """
 
 from __future__ import annotations
 
-import itertools
 import os
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from typing import Sequence
 
-from .arith import bounded_compositions
 from .errors import RefusalError
 from .topology import exponent_vector
 
@@ -70,93 +70,121 @@ class SignatureResult:
 
 
 # ---------------------------------------------------------------------------
-# 2D kernels
+# 2D kernels: one integer counter, with Fraction front ends
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} floor((a*i + b) / m) for n >= 0, m >= 1, a, b >= 0.
+
+    Euclid-like reduction in O(log m) steps (the floor_sum of the AtCoder
+    Library; cf. Rademacher-Grosswald, Dedekind Sums)."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
+
+
+def _triangle(A: int, B: int, N: int) -> int:
+    """#{x, y >= 0 : Bx + Ay <= N}."""
+    if N < 0:
+        return 0
+    K = N // B  # rows x = K - i hold floor((N % B + B i) / A) + 1 points
+    return _floor_sum(K + 1, A, B, N - B * K) + K + 1
+
+
+def _lattice_2d(A: int, B: int, N: int, x0: int, x1, y0: int, y1) -> int:
+    """#{x0 <= x <= x1, y0 <= y <= y1 : Bx + Ay <= N} for A, B >= 1; x1 or
+    y1 None leaves that axis unbounded above.  Upper bounds enter by
+    inclusion-exclusion on the quadrant count, so the cost is O(log)."""
+    if (x1 is not None and x1 < x0) or (y1 is not None and y1 < y0):
+        return 0
+    N -= B * x0 + A * y0
+    cut_x = None if x1 is None else B * (x1 - x0 + 1)
+    cut_y = None if y1 is None else A * (y1 - y0 + 1)
+    total = _triangle(A, B, N)
+    if cut_x is not None:
+        total -= _triangle(A, B, N - cut_x)
+    if cut_y is not None:
+        total -= _triangle(A, B, N - cut_y)
+        if cut_x is not None:
+            total += _triangle(A, B, N - cut_x - cut_y)
+    return total
 
 
 def strip_count_2d(A: int, B: int, u, lower_open=(True, True)) -> int:
     """#{(x, y) : x/A + y/B < u} with x < A, y < B and lower bounds open
-    (x > 0) or closed (x >= 0) per flag.  O(A) row-by-row floor count."""
+    (x > 0) or closed (x >= 0) per flag.  O(log) integer floor-sum count."""
     if A < 2 or B < 2:
         raise ValueError("strip_count_2d requires A, B >= 2")
-    u = Fraction(u)
-    x0 = 1 if lower_open[0] else 0
-    y0 = 1 if lower_open[1] else 0
-    total = 0
-    for x in range(x0, A):
-        q = (u - Fraction(x, A)) * B  # y < q
-        ymax = min(B - 1, _strict_floor(q))
-        if ymax < y0:
-            break  # rows only get shorter as x grows
-        total += ymax - y0 + 1
-    return total
+    return _count_2d(A, B, u, lower_open[0], lower_open[1], True, True, True)
 
 
 def _count_2d(A, B, u, x_open, y_open, x_bounded, y_bounded, strict) -> int:
     """Generic 2D count: x/A + y/B < u (strict) or <= u, with per-axis
     open/closed lower bounds and optional x < A, y < B upper bounds."""
     u = Fraction(u)
-    x = 1 if x_open else 0
-    y0 = 1 if y_open else 0
-    total = 0
-    while not (x_bounded and x >= A):
-        q = (u - Fraction(x, A)) * B
-        ymax = _strict_floor(q) if strict else _floor(q)
-        if y_bounded:
-            ymax = min(B - 1, ymax)
-        if ymax < y0:
-            break
-        total += ymax - y0 + 1
-        x += 1
-    return total
+    num = u.numerator * A * B  # x/A + y/B <= u  <=>  Bx + Ay <= num / den
+    N = (num - 1) // u.denominator if strict else num // u.denominator
+    x1 = A - 1 if x_bounded else None
+    y1 = B - 1 if y_bounded else None
+    return _lattice_2d(A, B, N, int(x_open), x1, int(y_open), y1)
 
 
-def _count_eq_2d(A: int, B: int, t: Fraction) -> int:
-    """#{(x, y) : 0 < x < A, 0 < y < B, x/A + y/B = t}."""
-    total = 0
-    for x in range(1, A):
-        q = (t - Fraction(x, A)) * B
-        if q.denominator == 1 and 0 < q.numerator < B:
-            total += 1
-    return total
+def _count_eq_2d(A: int, B: int, M: int) -> int:
+    """#{(x, y) : 0 < x < A, 0 < y < B, Bx + Ay = M}.  With g = gcd(A, B)
+    the solutions are one class x = x* mod A/g, found by one modular
+    inverse, cut to the x-range where 0 < y < B."""
+    g = gcd(A, B)
+    if M % g:
+        return 0
+    a, b = A // g, B // g
+    x_star = M // g * pow(b, -1, a) % a
+    lo = max(1, -((A * (B - 1) - M) // B))  # y <= B - 1
+    hi = min(A - 1, (M - A) // B)  # y >= 1
+    if hi < lo:
+        return 0
+    return (hi - x_star) // a - (lo - 1 - x_star) // a
 
 
-def _window_counts(c, A: int, B: int):
+def _window_counts(r: int, L: int, A: int, B: int):
     """For interior points 0 < x < A, 0 < y < B, classify
-    S = c + x/A + y/B by its residue window: plus when S mod 2 in (0, 1),
-    minus when in (1, 2), boundary when S is an integer."""
-    c = Fraction(c)
-    if c < 0:
-        raise ValueError("window offset must be >= 0")
-    full = (A - 1) * (B - 1)
+    S = r/L + x/A + y/B (0 <= r < 2L) by its residue window: plus when
+    S mod 2 in (0, 1), minus when in (1, 2), boundary when S is an integer.
 
-    def below(t: Fraction) -> int:  # interior points with x/A + y/B < t
-        if t <= 0:
-            return 0
-        if t >= 2:
-            return full
-        return strip_count_2d(A, B, t)
-
-    def on(t: Fraction) -> int:
-        if t <= 0 or t >= 2:
-            return 0
-        return _count_eq_2d(A, B, t)
-
-    plus = minus = boundary = 0
-    k0 = _floor(c)
-    for k in (k0, k0 + 1, k0 + 2):
-        cnt = below(k + 1 - c) - below(k - c) - on(k - c)
-        if k % 2 == 0:
-            plus += cnt
-        else:
-            minus += cnt
-        boundary += on(k - c)
-    return plus, minus, boundary
+    S lies in (k0, k0 + 3) with k0 = floor(r/L), so only the edges
+    k = k0 + 1, k0 + 2 cut the box; S < k reads L(Bx + Ay) < (kL - r)AB."""
+    below, on = [], []
+    k0 = r // L
+    for k in (k0 + 1, k0 + 2):
+        T = (k * L - r) * A * B
+        below.append(_lattice_2d(A, B, (T - 1) // L, 1, A - 1, 1, B - 1))
+        on.append(_count_eq_2d(A, B, T // L) if T % L == 0 else 0)
+    # windows k0 and k0 + 2 share a parity; window k0 + 1 has the other
+    same = below[0] + (A - 1) * (B - 1) - below[1] - on[1]
+    other = below[1] - below[0] - on[0]
+    boundary = on[0] + on[1]
+    if k0 % 2 == 0:
+        return same, other, boundary
+    return other, same, boundary
 
 
 def window_weight(c, A: int, B: int):
     """Signed window weight of the interior box against offset c: returns
     (weight, boundary) with weight = plus - minus from _window_counts."""
-    plus, minus, boundary = _window_counts(c, A, B)
+    c = Fraction(c)
+    if c < 0:
+        raise ValueError("window offset must be >= 0")
+    L = c.denominator
+    plus, minus, boundary = _window_counts(c.numerator % (2 * L), L, A, B)
     return plus - minus, boundary
 
 
@@ -203,28 +231,44 @@ def tau_brute(a: Sequence[int], budget: int | None = None) -> SignatureResult:
     )
 
 
-def tau_kernel(a: Sequence[int]) -> SignatureResult:
-    """Signature via the 2-coordinate kernel: the two largest exponents form
-    the inner box, the remaining coordinates are grouped by value and by
-    coordinate sum with bounded-composition multiplicities."""
+def tau_kernel(a: Sequence[int], budget: int | None = None) -> SignatureResult:
+    """Signature via the 2-coordinate kernel: the two largest exponents A, B
+    form the inner box, the outer coordinates are folded by a residue DP.
+
+    With L = lcm(outer), the outer offset is r/L with r = sum x_i L/a_i,
+    and only r mod 2L matters; the DP counts the outer points per residue,
+    then each distinct residue costs one O(log) integer window count.  The
+    DP work is estimated first and refused beyond the budget (default 10^8,
+    env override BPLINKS_TAU_BUDGET).
+    """
     a = exponent_vector(a)
     A, B = a[-2], a[-1]
     outer = a[:-2]
-    axes = []
-    for v, r in sorted(Counter(outer).items()):
-        axes.append(
-            [
-                (Fraction(sig, v), bounded_compositions(sig, r, 1, v - 1))
-                for sig in range(r, r * (v - 1) + 1)
-            ]
+    L = lcm(*outer)
+    mod = 2 * L
+    states, estimate = 1, 0
+    for ai in outer:
+        estimate += states * (ai - 1)
+        states = min(states * (ai - 1), mod)
+    estimate += states  # one window count per residue
+    limit = _resolve_budget(budget)
+    if estimate > limit:
+        raise RefusalError(
+            f"tau_kernel would take ~{estimate} residue steps (budget {limit}); "
+            "raise --budget or BPLINKS_TAU_BUDGET"
         )
+    counts = {0: 1}
+    for ai in outer:  # ascending order keeps intermediate residue maps small
+        w = L // ai
+        nxt: dict[int, int] = {}
+        for res, cnt in counts.items():
+            for x in range(1, ai):
+                r = (res + x * w) % mod
+                nxt[r] = nxt.get(r, 0) + cnt
+        counts = nxt
     plus = minus = boundary = 0
-    for combo in itertools.product(*axes):
-        c = sum((f for f, _ in combo), Fraction(0))
-        mult = prod(m for _, m in combo)
-        if mult == 0:
-            continue
-        p, mn, b = _window_counts(c, A, B)
+    for r, mult in counts.items():
+        p, mn, b = _window_counts(r, L, A, B)
         plus += mult * p
         minus += mult * mn
         boundary += mult * b
@@ -354,8 +398,8 @@ def _count_kernel(spec: CountSpec) -> int:
 
 def count_box(spec: CountSpec, method: str = "kernel", budget: int | None = None) -> int:
     """Exact count for a CountSpec.  method "kernel" folds the two largest
-    denominators into an O(A) strip count; "enumerate" visits every point
-    (budgeted) and exists as the independent oracle."""
+    denominators into an O(log) integer 2D count; "enumerate" visits every
+    point (budgeted) and exists as the independent oracle."""
     if method == "kernel":
         return _count_kernel(spec)
     if method == "enumerate":

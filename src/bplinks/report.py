@@ -56,10 +56,9 @@ def classify_link(
     if n % 2 == 0:
         if precomputed_tau is not None:
             signature = precomputed_tau
-        elif tau_method == "brute":
-            signature = tau_brute(a, budget=budget)
         else:
-            signature = tau_kernel(a)
+            engine = tau_brute if tau_method == "brute" else tau_kernel
+            signature = engine(a, budget=budget)
         method = signature.method
         if sphere.is_homotopy_sphere:
             diffeo = diffeo_class_even(n, signature.tau)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -184,3 +185,20 @@ def test_refusal_exits_1(capsys):
     )
     assert code == 1
     assert "budget" in err
+
+
+def test_kernel_budget_refusal_exits_1(capsys, monkeypatch):
+    # outer (2, 2, 2) of (2, 2, 2, 3, 5) costs the kernel 4 residue steps
+    for cmd in ("tau", "classify"):
+        code, lines, err = run_cli(capsys, cmd, "--budget", "3", "2", "2", "2", "3", "5")
+        assert code == 1 and lines == []
+        assert "budget 3" in err
+        code, lines, _ = run_cli(capsys, cmd, "--budget", "4", "2", "2", "2", "3", "5")
+        assert code == 0 and lines[0]["tau"] == 8
+
+    monkeypatch.delenv("BPLINKS_TAU_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "tau", *"3 5 7 11 13 17 19 23 29 31 37".split())
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert "~2081992858 " in err and "(budget 100000000)" in err

@@ -1,12 +1,17 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bplinks.errors import RefusalError
 from bplinks.lattice import (
+    _count_2d,
+    _count_eq_2d,
     beta_via_gamma,
     count_box,
     count_spec,
@@ -63,6 +68,36 @@ def oracle_strip(A, B, u):
     )
 
 
+def oracle_rows(A, B, u, x_open, y_open, x_bounded, y_bounded, strict):
+    """x/A + y/B < u (strict) or <= u counted row by row in O(A), on
+    integers: with u = p/q, row x holds the y >= y0 with
+    qAy < pAB - qBx (strict) or <= it, capped at B - 1 when y is bounded."""
+    p, q = u.numerator, u.denominator
+    x = 1 if x_open else 0
+    y0 = 1 if y_open else 0
+    total = 0
+    while not (x_bounded and x >= A):
+        room = p * A * B - q * B * x
+        ymax = (room - 1) // (q * A) if strict else room // (q * A)
+        if y_bounded:
+            ymax = min(B - 1, ymax)
+        if ymax < y0:
+            break  # rows only get shorter as x grows
+        total += ymax - y0 + 1
+        x += 1
+    return total
+
+
+def oracle_on_line(A, B, M):
+    """#{0 < x < A, 0 < y < B : Bx + Ay = M} by one division per x."""
+    total = 0
+    for x in range(1, A):
+        y, rem = divmod(M - B * x, A)
+        if rem == 0 and 0 < y < B:
+            total += 1
+    return total
+
+
 def oracle_box(denoms, threshold, strict, lower_open, upper_bounded):
     """Full enumeration of a CountSpec region, one rational sum per point."""
     threshold = Fraction(threshold)
@@ -95,6 +130,55 @@ def test_strip_count_matches_enumeration():
         A, B = rng.randint(2, 25), rng.randint(2, 25)
         u = Fraction(rng.randint(0, 50), rng.randint(1, 30))
         assert strip_count_2d(A, B, u) == oracle_strip(A, B, u), (A, B, u)
+
+
+# thresholds u = p/q in [0, 3], so the u >= 2 rows past the box are covered
+thresholds = st.integers(1, 40).flatmap(
+    lambda q: st.builds(Fraction, st.integers(0, 3 * q), st.just(q))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    A=st.integers(2, 60),
+    B=st.integers(2, 60),
+    u=thresholds,
+    lower_open=st.tuples(st.booleans(), st.booleans()),
+)
+@example(A=999_983, B=1_000_003, u=Fraction(1, 7), lower_open=(True, True))
+@example(A=1_000_000, B=999_999, u=Fraction(5, 3), lower_open=(False, True))
+def test_strip_count_matches_row_oracle(A, B, u, lower_open):
+    want = oracle_rows(A, B, u, *lower_open, True, True, True)
+    assert strip_count_2d(A, B, u, lower_open) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    A=st.integers(1, 60),
+    B=st.integers(1, 60),
+    u=thresholds,
+    flags=st.tuples(*[st.booleans()] * 5),
+)
+@example(A=999_983, B=1_000_003, u=Fraction(1, 9), flags=(False, False, False, False, False))
+@example(A=13, B=999_983, u=Fraction(7, 3), flags=(True, False, False, True, True))
+def test_count_2d_matches_row_oracle(A, B, u, flags):
+    x_open, y_open, x_bounded, y_bounded, strict = flags
+    want = oracle_rows(A, B, u, x_open, y_open, x_bounded, y_bounded, strict)
+    assert _count_2d(A, B, u, x_open, y_open, x_bounded, y_bounded, strict) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    A=st.integers(2, 60),
+    B=st.integers(2, 60),
+    x=st.integers(0, 60),
+    y=st.integers(0, 60),
+    d=st.integers(-1, 1),
+)
+@example(A=999_999, B=1_000_002, x=5, y=7, d=0)  # gcd 3, a line through the box
+def test_count_eq_2d_matches_line_oracle(A, B, x, y, d):
+    M = B * x + A * y + d
+    assert _count_eq_2d(A, B, M) == oracle_on_line(A, B, M)
 
 
 def test_window_weight_examples():
@@ -133,16 +217,19 @@ def test_tau_examples():
 
 
 def test_tau_kernel_matches_brute_on_cross_validation_instance():
-    a = (3, 3, 3, 7, 20)
-    b = tau_brute(a)
-    k = tau_kernel(a)
-    assert prod(ai - 1 for ai in a) == 912
-    assert (k.tau, k.plus_count, k.minus_count, k.boundary_skipped) == (
-        b.tau,
-        b.plus_count,
-        b.minus_count,
-        b.boundary_skipped,
-    )
+    assert prod(ai - 1 for ai in (3, 3, 3, 7, 20)) == 912
+    vectors = [(3, 3, 3, 7, 20)]
+    vectors += itertools.combinations_with_replacement(range(2, 10), 5)
+    assert len(vectors) == 1 + 792
+    for a in vectors:
+        b = tau_brute(a)
+        k = tau_kernel(a)
+        assert (k.tau, k.plus_count, k.minus_count, k.boundary_skipped) == (
+            b.tau,
+            b.plus_count,
+            b.minus_count,
+            b.boundary_skipped,
+        ), a
 
 
 def test_tau_matches_rational_oracle_small():
@@ -167,6 +254,29 @@ def test_tau_budget_env_override(monkeypatch):
         tau_brute((2, 2, 2, 3, 5))  # 8 box points > 5
     monkeypatch.setenv("BPLINKS_TAU_BUDGET", "1000")
     assert tau_brute((2, 2, 2, 3, 5)).tau == 8
+
+
+def test_tau_kernel_budget_env_override(monkeypatch):
+    # outer (3, 3, 3) mod 2L = 6: DP steps 2 + 4 + 8, then 6 residues -> 20
+    a = (3, 3, 3, 7, 20)
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "19")
+    with pytest.raises(RefusalError, match=r"~20 .*budget 19\)"):
+        tau_kernel(a)
+    assert tau_kernel(a, budget=20).method == "kernel"  # an explicit budget wins
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "20")
+    assert tau_kernel(a).tau == tau_brute(a, budget=912).tau
+
+
+def test_tau_kernel_refuses_eleven_primes_quickly(monkeypatch):
+    # about 10^9 outer combos; the estimate is the sum of the partial
+    # products of (a_i - 1) over the 9 outer primes plus the final one
+    monkeypatch.delenv("BPLINKS_TAU_BUDGET", raising=False)
+    start = time.perf_counter()
+    with pytest.raises(RefusalError) as err:
+        tau_kernel((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    assert time.perf_counter() - start < 1
+    assert "~2081992858 " in str(err.value)
+    assert "(budget 100000000)" in str(err.value)
 
 
 def test_sphere_signatures_are_boundary_free_and_divisible():
