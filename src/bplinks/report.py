@@ -14,9 +14,10 @@ from .topology import (
     EvenDiffeoClass,
     OddDiffeoClass,
     SphereClassification,
+    _integers,
+    _odd_diffeo_class,
     classify_sphere,
     diffeo_class_even,
-    arf_class,
     exponent_vector,
 )
 
@@ -44,7 +45,7 @@ def classify_link(
     precomputed_tau: Optional[SignatureResult] = None,
 ) -> LinkReport:
     start = time.perf_counter()
-    original = tuple(int(v) for v in values)
+    original = _integers(values)
     a = exponent_vector(original)
     n = len(a) - 1
     sphere = classify_sphere(a)
@@ -63,7 +64,7 @@ def classify_link(
         if sphere.is_homotopy_sphere:
             diffeo = diffeo_class_even(n, signature.tau)
     elif sphere.is_homotopy_sphere:
-        diffeo = arf_class(a)
+        diffeo = _odd_diffeo_class(sphere)
 
     return LinkReport(
         input_vector=original,

@@ -5,9 +5,12 @@ The production test is the closed-form inequality
 
     1 < sum 1/a_i < (resp. <=) 1 + n/a_n      (a sorted ascending)
 
-equivalently 0 < I_a < n*d_n with d = lcm(a_i), d_i = d/a_i and
-I_a = sum d_i - d.  The exponential subset criterion it was reduced from
-is kept as a test-scale oracle.
+decided in integers by clearing the denominator P = prod a_i: with
+N = sum P/a_i, log Fano is N > P and polystable is N*a_n < P*(a_n + n).
+It is equivalent to 0 < I_a < n*d_n with d = lcm(a_i), d_i = d/a_i and
+I_a = sum d_i - d; every call computes both forms and raises
+InvariantViolation if they disagree.  The exponential subset criterion
+they were reduced from is kept as a test-scale oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 from .errors import InvariantViolation, RefusalError
@@ -54,21 +57,24 @@ class StabilityReport:
 
 
 def k_stability(a: Sequence[int]) -> StabilityReport:
-    """Exact-rational stability decision.  se_metric_exists is exactly the
+    """Exact integer stability decision.  se_metric_exists is exactly the
     polystability flag; the semistable boundary reports False with
     boundary_semistable set."""
     a = exponent_vector(a)
     n = len(a) - 1
-    s = sum(Fraction(1, ai) for ai in a)
-    upper = 1 + Fraction(n, a[-1])
-    log_fano = s > 1
-    semi = log_fano and s <= upper
-    poly = log_fano and s < upper
+    an = a[-1]
+    p = prod(a)
+    num = sum(p // ai for ai in a)  # sum 1/a_i = num / p
+    log_fano = num > p
+    lhs, rhs = num * an, p * (an + n)  # sum 1/a_i vs 1 + n/a_n, times p*a_n
+    semi = log_fano and lhs <= rhs
+    poly = log_fano and lhs < rhs
 
     d = lcm(*a)
     weights = tuple(d // ai for ai in a)
     index = sum(weights) - d
     # the index form is equivalent to the inequality form; check every call
+    s = Fraction(num, p)
     if poly != (0 < index < n * weights[-1]):
         raise InvariantViolation(
             f"inequality form and index form disagree on {a}: "
@@ -85,7 +91,7 @@ def k_stability(a: Sequence[int]) -> StabilityReport:
         d=d,
         weights=weights,
         index_invariant=index,
-        contact=contact_obstruction(a),
+        contact=_contact(n, index),
     )
 
 
@@ -125,12 +131,14 @@ def contact_obstruction(a: Sequence[int]) -> str:
     """Orbifold contact-structure obstruction: obstructed when n is odd, or
     when n = 2m and m does not divide the index invariant."""
     a = exponent_vector(a)
-    n = len(a) - 1
+    d = lcm(*a)
+    return _contact(len(a) - 1, sum(d // ai for ai in a) - d)
+
+
+def _contact(n: int, index: int) -> str:
+    """contact_obstruction of a vector with n and index invariant index."""
     if n % 2 == 1:
         return CONTACT_ODD_DIM
-    m = n // 2
-    d = lcm(*a)
-    index = sum(d // ai for ai in a) - d
-    if index % m != 0:
+    if index % (n // 2) != 0:
         return CONTACT_INDIVISIBLE
     return CONTACT_INCONCLUSIVE

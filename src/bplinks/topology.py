@@ -9,6 +9,7 @@ are stored sorted ascending.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
@@ -43,14 +44,23 @@ _OPEN_KERVAIRE_DIM = 125
 
 
 def exponent_vector(values: Sequence[int]) -> tuple:
-    """Validate and normalize an exponent vector: sorted, each entry >= 2,
-    length >= 4 (so the link dimension 2n-1 is >= 5)."""
-    a = tuple(sorted(int(v) for v in values))
+    """Validate and normalize an exponent vector: sorted, each entry an
+    integer >= 2, length >= 4 (so the link dimension 2n-1 is >= 5)."""
+    a = tuple(sorted(_integers(values)))
     if len(a) < 4:
         raise ValueError(f"need at least 4 exponents (n >= 3), got {len(a)}")
-    if any(v < 2 for v in a):
+    if a[0] < 2:
         raise ValueError(f"every exponent must be >= 2, got {a}")
     return a
+
+
+def _integers(values: Sequence[int]) -> tuple:
+    """The entries as ints; a non-integral entry (2.9, "3") is an error, not
+    truncated."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as err:
+        raise ValueError(f"exponents must be integers: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -73,34 +83,38 @@ class GcdGraph:
 def build_gcd_graph(a: Sequence[int]) -> GcdGraph:
     a = exponent_vector(a)
     n1 = len(a)
-    parent = list(range(n1))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    # label each vertex with its component number; a search from the least
+    # unlabelled index numbers components in least-index order and never
+    # takes the gcd of a pair whose second vertex is already labelled
+    label = [-1] * n1
+    count = 0
+    for start in range(n1):
+        if label[start] >= 0:
+            continue
+        label[start] = count
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            ai = a[i]
+            for j in range(start + 1, n1):
+                if label[j] < 0 and gcd(ai, a[j]) > 1:
+                    label[j] = count
+                    stack.append(j)
+        count += 1
+    groups: list[list[int]] = [[] for _ in range(count)]
     for i in range(n1):
-        for j in range(i + 1, n1):
-            if gcd(a[i], a[j]) > 1:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n1):
-        groups.setdefault(find(i), []).append(i)
-    components = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+        groups[label[i]].append(i)
+    components = tuple(map(tuple, groups))
     isolated = tuple(c[0] for c in components if len(c) == 1)
 
     ev: tuple = ()
     evens = [i for i in range(n1) if a[i] % 2 == 0]
     if evens:
-        root = find(evens[0])
-        ev = tuple(sorted(groups[root]))
-        # all even entries lie in one component: even-even gcd >= 2
-        assert all(find(i) == root for i in evens)
+        root = label[evens[0]]
+        ev = components[root]
+        # even-even gcd >= 2, so all even entries lie in one component
+        if any(label[i] != root for i in evens):
+            raise InvariantViolation(f"even entries of {a} lie in more than one component")
     return GcdGraph(vertices=a, components=components, isolated=isolated, ev_component=ev)
 
 
@@ -186,14 +200,19 @@ def arf_class(a: Sequence[int]) -> OddDiffeoClass:
     cls = classify_sphere(a)
     if not cls.is_homotopy_sphere:
         raise ValueError("arf_class requires a homotopy sphere")
-    dim = 2 * n - 1  # = 4m+1
+    return _odd_diffeo_class(cls)
+
+
+def _odd_diffeo_class(cls: SphereClassification) -> OddDiffeoClass:
+    """arf_class of the homotopy sphere of odd n that cls classifies."""
+    g = cls.graph
+    dim = 2 * len(g.vertices) - 3  # = 2n-1 = 4m+1
 
     arf = 0
     if cls.condition == COND2:
-        g = cls.graph
         a0 = g.vertices[g.isolated[0]]
         covered = set(g.ev_component) | set(g.isolated)
-        if a0 % 8 in (3, 5) and covered == set(range(len(a))):
+        if a0 % 8 in (3, 5) and covered == set(range(len(g.vertices))):
             arf = 1
 
     if dim in _TRIVIAL_BP_DIMS:

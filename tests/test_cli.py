@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -114,6 +115,25 @@ def _strip_timing(records):
         rec.pop("elapsed_s", None)
         out.append(rec)
     return out
+
+
+# SHA-256 over every field of every scan record (one sorted-key JSON line
+# each, without the timing field): a faster classification path must
+# reproduce the records bit for bit.
+@pytest.mark.parametrize(
+    "n, amax, count, digest",
+    [
+        (5, 10, 3003, "c6921f0068454ca0638f2436656527e6a740e4a1ece7eee2d90d2bb2d5ea09b7"),
+        (4, 7, 252, "40fd8f41b193da7b6dc8b8303482709da88d72e0ec7f6ab3246649856de34066"),
+    ],
+)
+def test_scan_records_golden_digest(capsys, n, amax, count, digest):
+    code, lines, _ = run_cli(capsys, "scan", "--n", str(n), "--amax", str(amax))
+    assert code == 0 and len(lines) == count
+    h = hashlib.sha256()
+    for rec in _strip_timing(lines):
+        h.update(json.dumps(rec, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == digest
 
 
 def test_scan_results_independent_of_cache(capsys, tmp_path):

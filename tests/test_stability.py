@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bplinks.errors import RefusalError
 from bplinks.stability import (
@@ -50,6 +51,31 @@ def test_fujita_oracle_examples():
 def test_fujita_oracle_refuses_large_n():
     with pytest.raises(RefusalError):
         fujita_subset_oracle((2,) * 14)
+
+
+@given(
+    st.lists(
+        st.one_of(st.integers(2, 12), st.integers(2, 10**4)), min_size=4, max_size=12
+    ),
+)
+@example([2, 2, 3, 6])  # semistable boundary
+@example([2, 3, 7, 42])  # sum 1/a_i == 1: not log Fano
+def test_k_stability_fields_match_fraction_formulas(values):
+    rep = k_stability(values)
+    a = tuple(sorted(values))
+    n = len(a) - 1
+    s = sum(Fraction(1, ai) for ai in a)
+    upper = 1 + Fraction(n, a[-1])
+    assert rep.vector == a
+    assert rep.sum_recip == s
+    assert rep.log_fano == (s > 1)
+    assert rep.k_semistable == (s > 1 and s <= upper)
+    assert rep.k_polystable == rep.se_metric_exists == (s > 1 and s < upper)
+    assert rep.boundary_semistable == (s > 1 and s == upper)
+    assert rep.d == lcm(*a)
+    assert rep.weights == tuple(rep.d // ai for ai in a)
+    assert rep.index_invariant == rep.d * (s - 1)
+    assert rep.contact == contact_obstruction(values)
 
 
 def test_closed_form_matches_oracle_on_randoms():

@@ -1,8 +1,10 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from bplinks import topology
 from bplinks.errors import InvariantViolation
 from bplinks.topology import (
     COND1,
@@ -21,6 +23,9 @@ def test_exponent_vector_sorts_and_validates():
         exponent_vector([2, 2, 2])
     with pytest.raises(ValueError):
         exponent_vector([1, 2, 3, 4])
+    for bad in ([2.9, 3, 5, 7], [2, 3, 5, "7"], [2, 3, 5, 7.0]):
+        with pytest.raises(ValueError, match="integers"):
+            exponent_vector(bad)
 
 
 def test_gcd_graph_examples():
@@ -35,6 +40,40 @@ def test_gcd_graph_examples():
     g = build_gcd_graph((2, 2, 82, 86, 94, 101))
     assert tuple(g.vertices[i] for i in g.ev_component) == (2, 2, 82, 86, 94)
     assert g.isolated_values() == (101,)
+
+
+def oracle_gcd_graph(a):
+    """Components by the transitive closure of the pairwise gcd relation."""
+    a = sorted(a)
+    size = len(a)
+    reach = [[i == j or gcd(a[i], a[j]) > 1 for j in range(size)] for i in range(size)]
+    for k in range(size):
+        for i in range(size):
+            for j in range(size):
+                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+    components = sorted({tuple(j for j in range(size) if reach[i][j]) for i in range(size)})
+    isolated = [c[0] for c in components if len(c) == 1]
+    evens = [i for i in range(size) if a[i] % 2 == 0]
+    ev = [c for c in components if evens and evens[0] in c]
+    return tuple(a), tuple(components), tuple(isolated), ev[0] if ev else ()
+
+
+@given(
+    st.lists(
+        st.one_of(st.integers(2, 12), st.integers(2, 500)), min_size=4, max_size=12
+    ),
+)
+def test_gcd_graph_matches_closure_oracle(values):
+    g = build_gcd_graph(values)
+    assert (g.vertices, g.components, g.isolated, g.ev_component) == oracle_gcd_graph(values)
+
+
+def test_gcd_graph_split_even_entries_raise_without_assert(monkeypatch):
+    # a gcd that never joins anything puts the even entries in separate
+    # components; the check is an exception, so it also runs under -O
+    monkeypatch.setattr(topology, "gcd", lambda x, y: 1)
+    with pytest.raises(InvariantViolation):
+        build_gcd_graph((2, 3, 4, 5))
 
 
 def test_classify_sphere_examples():
