@@ -30,7 +30,6 @@ from .lattice import (
     strip_count_2d,
     tau_brute,
     tau_kernel,
-    window_weight,
 )
 from .moduli import maslov_index, mean_euler, moduli_dimension, weighted_monomial_count
 from .quasipoly import QuasiPolynomial, qp_eval, qp_fit, qp_prefix_sum, qp_verify

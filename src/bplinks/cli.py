@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -39,16 +40,32 @@ def _diag(msg: str) -> None:
 
 class ScanCache:
     """Append-only signature cache: a version header line followed by one
-    JSON record per vector."""
+    JSON record per vector.  One append handle stays open until close();
+    each record is written as one line and flushed at once, so a reader
+    after any put sees only complete lines.  Use it as a context manager."""
 
     def __init__(self, path: Path):
         self.path = Path(path)
         self.entries: dict[tuple, dict] = {}
-        if self.path.exists():
+        fresh = not self.path.exists()
+        if not fresh:
             self._load()
-        else:
-            with open(self.path, "w") as fh:
-                fh.write(json.dumps({"version": CACHE_VERSION}) + "\n")
+        self._fh = open(self.path, "a")
+        if fresh:
+            self._append({"version": CACHE_VERSION})
+
+    def __enter__(self) -> ScanCache:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def _append(self, rec: dict) -> None:
+        self._fh.write(json.dumps(rec) + "\n")
+        self._fh.flush()
 
     def _load(self) -> None:
         with open(self.path) as fh:
@@ -87,8 +104,7 @@ class ScanCache:
             "tool": __version__,
         }
         self.entries[vector] = rec
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(rec) + "\n")
+        self._append(rec)
 
 
 def _cached_signature(rec: dict) -> SignatureResult:
@@ -214,34 +230,35 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    cache = ScanCache(Path(args.cache)) if args.cache else None
-    count = 0
-    for combo in combinations_with_replacement(range(2, args.amax + 1), args.n + 1):
-        vector = tuple(combo)
-        pre = None
-        if cache is not None and args.n % 2 == 0:
-            rec = cache.get(vector)
-            if rec is not None:
-                pre = _cached_signature(rec)
-                if args.paranoid:
-                    fresh = tau_kernel(vector)
-                    if fresh.tau != pre.tau:
-                        raise InvariantViolation(
-                            f"cache disagrees with recomputation on {vector}: "
-                            f"{pre.tau} != {fresh.tau}"
-                        )
-                    pre = fresh
-        rep = classify_link(vector, tau_method="kernel", precomputed_tau=pre)
-        if cache is not None and rep.signature is not None and pre is None:
-            cache.put(vector, rep.signature)
-        if args.filter == "sphere" and not rep.sphere.is_homotopy_sphere:
-            continue
-        if args.filter == "se-sphere" and not (
-            rep.sphere.is_homotopy_sphere and rep.stability.se_metric_exists
-        ):
-            continue
-        _emit(report_to_dict(rep))
-        count += 1
+    # the cache's handle is closed on every exit, so it is complete on return
+    with (ScanCache(Path(args.cache)) if args.cache else nullcontext()) as cache:
+        count = 0
+        for combo in combinations_with_replacement(range(2, args.amax + 1), args.n + 1):
+            vector = tuple(combo)
+            pre = None
+            if cache is not None and args.n % 2 == 0:
+                rec = cache.get(vector)
+                if rec is not None:
+                    pre = _cached_signature(rec)
+                    if args.paranoid:
+                        fresh = tau_kernel(vector)
+                        if fresh.tau != pre.tau:
+                            raise InvariantViolation(
+                                f"cache disagrees with recomputation on {vector}: "
+                                f"{pre.tau} != {fresh.tau}"
+                            )
+                        pre = fresh
+            rep = classify_link(vector, tau_method="kernel", precomputed_tau=pre)
+            if cache is not None and rep.signature is not None and pre is None:
+                cache.put(vector, rep.signature)
+            if args.filter == "sphere" and not rep.sphere.is_homotopy_sphere:
+                continue
+            if args.filter == "se-sphere" and not (
+                rep.sphere.is_homotopy_sphere and rep.stability.se_metric_exists
+            ):
+                continue
+            _emit(report_to_dict(rep))
+            count += 1
     _diag(f"scan: {count} links matched")
     return 0
 

@@ -152,8 +152,9 @@ def exotic_vector(n: int, p: int, l: int) -> tuple:
 def gen_exotic(m: int, k: int, l: int, q: int) -> FamilySpec:
     """Exotic-sphere family (n = 2m): l = 6k-3 or 6k-1, p = q*l*(l-1) + 2,
     a = (2, 2, p, ..., p, p+1, p+l).  The K-stability inequality is the
-    admission gate, checked exactly; members target the class (-1)^m k in
-    bP_{4m}."""
+    admission gate, checked exactly.  The class in bP_{4m} varies with q
+    (at (m, k, l) = (2, 1, 3) it is 4, 7, 8, 5, 24 mod 28 for q = 1..5), so
+    no class is claimed; classify_link or tau_kernel computes it."""
     if m < 2 or k < 1 or q < 1:
         raise ValueError("gen_exotic requires m >= 2, k >= 1, q >= 1")
     if l not in (6 * k - 3, 6 * k - 1):
@@ -185,7 +186,6 @@ def gen_exotic(m: int, k: int, l: int, q: int) -> FamilySpec:
         expectations={
             "se_metric": True,
             "bp_modulus": bp.order,
-            "target_class": ((-1) ** m * k) % bp.order,
         },
     )
 
@@ -247,12 +247,15 @@ def fit_exotic_tau(
     degree: Optional[int] = None,
     max_degree: Optional[int] = None,
 ) -> TauFit:
-    """Sample tau on the exotic family at p = q*l*(l-1)+2 for q = 1..samples
-    and fit a quasi-polynomial of period l*(l-1) on that residue class.
+    """Sample tau on the exotic family at p = q*l*(l-1)+2 for `samples`
+    consecutive q from the least admissible q0, and fit a quasi-polynomial
+    of period l*(l-1) on that residue class.
 
-    The degree bound defaults to n = 2m and is raised up to n+2 if the
-    samples refuse to fit; held-out verification points (q = samples+1, ...)
-    are compared exactly against tau_kernel.
+    q0 is the first q that gen_exotic admits: the K-stability gate fails
+    exactly below a threshold in p (q0 = 1 at m = 2, 2 at m = 3).  The
+    degree bound defaults to n = 2m and is raised up to n+2 if the samples
+    refuse to fit; held-out verification points (q = q0+samples, ...) are
+    compared exactly against tau_kernel.
     """
     n = 2 * m
     if degree is None:
@@ -261,12 +264,20 @@ def fit_exotic_tau(
         max_degree = n + 2
     period = l * (l - 1)
 
+    q0 = 1
+    while True:
+        try:
+            first = gen_exotic(m, k, l, q0)
+            break
+        except RefusalError:
+            q0 += 1  # below the gate's threshold in p; it holds from q0 on
+
     def member_tau(qv: int):
-        spec = gen_exotic(m, k, l, qv)
+        spec = first if qv == q0 else gen_exotic(m, k, l, qv)
         return spec.derived["p"], tau_kernel(spec.vector).tau
 
     pts = []
-    for qv in range(1, samples + 1):
+    for qv in range(q0, q0 + samples):
         p, t = member_tau(qv)
         pts.append((qv, p, t))
 
@@ -288,7 +299,7 @@ def fit_exotic_tau(
     verify_rows = None
     if verify > 0:
         held = []
-        for qv in range(samples + 1, samples + verify + 1):
+        for qv in range(q0 + samples, q0 + samples + verify):
             p, t = member_tau(qv)
             held.append((p, t))
         report = qp_verify(qp, dict(held).__getitem__, [p for p, _ in held])

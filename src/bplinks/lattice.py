@@ -2,14 +2,20 @@
 enumeration and by a 2-coordinate kernel, plus the gamma/delta/beta
 counters used to certify the quasi-polynomial structure.
 
-The kernel runs on integers: a residue DP folds the outer coordinates, and
-one floor-sum counter (_lattice_2d, O(log) per call) counts the inner
-box below each window edge.  The Fraction front ends (strip_count_2d,
-window_weight, count_box) turn a rational threshold into an integer one
-exactly, so there is no epsilon anywhere.  Points whose coordinate sum is
-an integer fall on a window boundary: they are never silently dropped but
-counted separately (they cannot occur for homotopy spheres, so a nonzero
-boundary count flags a non-sphere input).
+The kernel runs on integers: a residue DP folds the outer coordinates,
+and each residue's window is counted over the inner box with floor sums.
+Two exact symmetries keep that small.  Flipping every coordinate
+(x -> a - x) pairs residue r with its mirror (m*L - r) mod 2L, whose window
+counts are the same or have plus and minus swapped, so one window count
+serves both.  Below an edge Bx + Ay <= N with N <= AB the box's upper
+bounds cannot bind, so each edge is one floor sum (_open_box_below), and
+the same flip covers N > AB.  The general counter _lattice_2d (O(log),
+upper bounds by inclusion-exclusion) serves the Fraction front ends
+(strip_count_2d, count_box), which turn a rational threshold into an
+integer one exactly, so there is no epsilon anywhere.  Points whose
+coordinate sum is an integer fall on a window boundary: they are never
+silently dropped but counted separately (they cannot occur for homotopy
+spheres, so a nonzero boundary count flags a non-sphere input).
 """
 
 from __future__ import annotations
@@ -20,14 +26,13 @@ from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from typing import Sequence
 
-from .errors import RefusalError
+from .errors import InvariantViolation, RefusalError
 from .topology import exponent_vector
 
 __all__ = [
     "DEFAULT_BUDGET",
     "SignatureResult",
     "strip_count_2d",
-    "window_weight",
     "tau_brute",
     "tau_kernel",
     "CountSpec",
@@ -120,6 +125,17 @@ def _lattice_2d(A: int, B: int, N: int, x0: int, x1, y0: int, y1) -> int:
     return total
 
 
+def _open_box_below(A: int, B: int, N: int) -> int:
+    """#{0 < x < A, 0 < y < B : Bx + Ay <= N} by one floor sum.  For
+    N <= AB the upper bounds cannot bind (x >= A alone gives Bx + Ay > AB),
+    so the count is the shifted triangle; for N > AB the flip
+    (x, y) -> (A - x, B - y) counts the complement, which lies below
+    2AB - N - 1 < AB."""
+    if N > A * B:
+        return (A - 1) * (B - 1) - _triangle(A, B, 2 * A * B - N - 1 - A - B)
+    return _triangle(A, B, N - A - B)
+
+
 def strip_count_2d(A: int, B: int, u, lower_open=(True, True)) -> int:
     """#{(x, y) : x/A + y/B < u} with x < A, y < B and lower bounds open
     (x > 0) or closed (x >= 0) per flag.  O(log) integer floor-sum count."""
@@ -161,12 +177,13 @@ def _window_counts(r: int, L: int, A: int, B: int):
     S mod 2 in (0, 1), minus when in (1, 2), boundary when S is an integer.
 
     S lies in (k0, k0 + 3) with k0 = floor(r/L), so only the edges
-    k = k0 + 1, k0 + 2 cut the box; S < k reads L(Bx + Ay) < (kL - r)AB."""
+    k = k0 + 1, k0 + 2 cut the box; S < k reads L(Bx + Ay) < (kL - r)AB,
+    one floor sum each (_open_box_below)."""
     below, on = [], []
     k0 = r // L
     for k in (k0 + 1, k0 + 2):
         T = (k * L - r) * A * B
-        below.append(_lattice_2d(A, B, (T - 1) // L, 1, A - 1, 1, B - 1))
+        below.append(_open_box_below(A, B, (T - 1) // L))
         on.append(_count_eq_2d(A, B, T // L) if T % L == 0 else 0)
     # windows k0 and k0 + 2 share a parity; window k0 + 1 has the other
     same = below[0] + (A - 1) * (B - 1) - below[1] - on[1]
@@ -175,17 +192,6 @@ def _window_counts(r: int, L: int, A: int, B: int):
     if k0 % 2 == 0:
         return same, other, boundary
     return other, same, boundary
-
-
-def window_weight(c, A: int, B: int):
-    """Signed window weight of the interior box against offset c: returns
-    (weight, boundary) with weight = plus - minus from _window_counts."""
-    c = Fraction(c)
-    if c < 0:
-        raise ValueError("window offset must be >= 0")
-    L = c.denominator
-    plus, minus, boundary = _window_counts(c.numerator % (2 * L), L, A, B)
-    return plus - minus, boundary
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +243,13 @@ def tau_kernel(a: Sequence[int], budget: int | None = None) -> SignatureResult:
 
     With L = lcm(outer), the outer offset is r/L with r = sum x_i L/a_i,
     and only r mod 2L matters; the DP counts the outer points per residue,
-    then each distinct residue costs one O(log) integer window count.  The
-    DP work is estimated first and refused beyond the budget (default 10^8,
-    env override BPLINKS_TAU_BUDGET).
+    then each pair of mirrored residues costs one O(log) integer window
+    count.  Flipping every coordinate sends r to (m*L - r) mod 2L
+    (m = len(outer)) with the same outer count, and the whole sum S to
+    m + 2 - S, so the mirror's window counts equal r's for odd m and have
+    plus and minus swapped for even m.  The equal outer counts are checked
+    on every residue.  The DP work is estimated first and refused beyond
+    the budget (default 10^8, env override BPLINKS_TAU_BUDGET).
     """
     a = exponent_vector(a)
     A, B = a[-2], a[-1]
@@ -267,8 +277,19 @@ def tau_kernel(a: Sequence[int], budget: int | None = None) -> SignatureResult:
                 nxt[r] = nxt.get(r, 0) + cnt
         counts = nxt
     plus = minus = boundary = 0
+    shift, swap = len(outer) * L, len(outer) % 2 == 0
     for r, mult in counts.items():
+        mirror = (shift - r) % mod
+        if counts.get(mirror) != mult:
+            raise InvariantViolation(
+                f"residues {r} and {mirror} of {a} have {mult} and "
+                f"{counts.get(mirror)} outer points; the flip x -> a - x pairs them"
+            )
+        if mirror < r:
+            continue  # counted with its mirror
         p, mn, b = _window_counts(r, L, A, B)
+        if mirror != r:
+            p, mn, b = (p + mn, mn + p, 2 * b) if swap else (2 * p, 2 * mn, 2 * b)
         plus += mult * p
         minus += mult * mn
         boundary += mult * b

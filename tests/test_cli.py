@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from bplinks import cli
 from bplinks.cli import main
 
 
@@ -64,6 +65,23 @@ def test_family_and_qpfit(capsys):
     assert code == 0
     fit = lines[0]
     assert fit["quasi_polynomial"]["period"] == 6
+    assert all(row["match"] for row in fit["verify"])
+
+
+def test_qpfit_starts_at_least_admissible_q(capsys):
+    # at m = 3 the K-stability gate refuses q = 1, (2, 2, 8, 8, 8, 9, 11)
+    code, _, err = run_cli(capsys, "family", "exotic", "--m", "3", "--k", "1", "--q", "1")
+    assert code == 1 and "K-stability" in err
+    code, lines, _ = run_cli(
+        capsys,
+        "qpfit",
+        "--m", "3", "--k", "1", "--l", "3",
+        "--samples", "10", "--verify", "3",
+    )
+    assert code == 0
+    fit = lines[0]
+    assert [s[0] for s in fit["samples"]] == list(range(2, 12))
+    assert [row["p"] for row in fit["verify"]] == [74, 80, 86]  # q = 12, 13, 14
     assert all(row["match"] for row in fit["verify"])
 
 
@@ -149,6 +167,41 @@ def test_scan_results_independent_of_cache(capsys, tmp_path):
     assert _strip_timing(plain) == _strip_timing(first) == _strip_timing(second)
     header = json.loads(cache.read_text().splitlines()[0])
     assert header == {"version": 1}
+
+
+def test_scan_cache_reloads_every_record_and_closes(capsys, tmp_path, monkeypatch):
+    opened = []
+
+    class Recording(cli.ScanCache):
+        def __init__(self, path):
+            super().__init__(path)
+            opened.append(self)
+
+    monkeypatch.setattr(cli, "ScanCache", Recording)
+    cache = tmp_path / "scan.cache"
+    code, lines, _ = run_cli(capsys, "scan", "--n", "4", "--amax", "6", "--cache", str(cache))
+    assert code == 0 and len(lines) == 126
+    assert opened[-1]._fh.closed
+    text = cache.read_text()
+    assert text.endswith("\n")
+    records = [json.loads(line) for line in text.splitlines()]  # every line parses
+    assert records[0] == {"version": 1} and len(records) == 1 + 126
+    reloaded = cli.ScanCache(cache)
+    reloaded.close()
+    assert reloaded.entries == opened[-1].entries
+    assert {tuple(rec["vector"]): rec["tau"] for rec in records[1:]} == {
+        tuple(rec["vector"]): rec["tau"] for rec in lines
+    }
+
+    # an invariant violation mid-scan still closes the handle
+    poisoned = records[:]
+    poisoned[1] = dict(poisoned[1], tau=poisoned[1]["tau"] + 8)
+    cache.write_text("".join(json.dumps(rec) + "\n" for rec in poisoned))
+    code, _, _ = run_cli(
+        capsys, "scan", "--n", "4", "--amax", "6", "--cache", str(cache), "--paranoid"
+    )
+    assert code == 3
+    assert opened[-1]._fh.closed
 
 
 def test_scan_paranoid_detects_poisoned_cache(capsys, tmp_path):

@@ -14,7 +14,7 @@ from bplinks.families import (
 from bplinks.lattice import tau_kernel
 from bplinks.primes import is_prime, primes_in_interval
 from bplinks.stability import CONTACT_INCONCLUSIVE, contact_obstruction, k_stability
-from bplinks.topology import COND2, classify_sphere
+from bplinks.topology import COND2, classify_sphere, diffeo_class_even
 
 
 def test_is_prime_small_and_carmichael():
@@ -59,7 +59,8 @@ def test_gen_standard_example():
 def test_gen_exotic_example():
     spec = gen_exotic(2, 1, 3, 56)
     assert spec.vector == (2, 2, 338, 339, 341)
-    assert spec.expectations["target_class"] == 1
+    assert "target_class" not in spec.expectations  # the class varies with q
+    assert diffeo_class_even(4, tau_kernel(spec.vector).tau).class_mod_bp == 1
     assert spec.derived["m_divides_index"] is False
 
 

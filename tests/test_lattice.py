@@ -12,6 +12,8 @@ from bplinks.errors import RefusalError
 from bplinks.lattice import (
     _count_2d,
     _count_eq_2d,
+    _open_box_below,
+    _window_counts,
     beta_via_gamma,
     count_box,
     count_spec,
@@ -21,7 +23,6 @@ from bplinks.lattice import (
     strip_count_2d,
     tau_brute,
     tau_kernel,
-    window_weight,
 )
 from bplinks.topology import classify_sphere
 
@@ -181,13 +182,38 @@ def test_count_eq_2d_matches_line_oracle(A, B, x, y, d):
     assert _count_eq_2d(A, B, M) == oracle_on_line(A, B, M)
 
 
-def test_window_weight_examples():
-    assert window_weight(Fraction(3, 2), 3, 5) == (8, 0)
-    assert window_weight(0, 2, 2) == (0, 1)
-    assert window_weight(0, 2, 3) == (0, 0)  # 5/6 -> +1, 7/6 -> -1
+# (A, B, N) with N from below the box to past its top corner, 2AB
+open_boxes = st.tuples(st.integers(1, 60), st.integers(1, 60)).flatmap(
+    lambda ab: st.tuples(st.just(ab[0]), st.just(ab[1]), st.integers(-2, 2 * ab[0] * ab[1] + 2))
+)
 
 
-def test_window_weight_matches_enumeration():
+@settings(max_examples=400, deadline=None)
+@given(case=open_boxes)
+@example(case=(12, 18, 12 * 18 - 1))  # gcd 6; the edges around N = AB
+@example(case=(12, 18, 12 * 18))
+@example(case=(12, 18, 12 * 18 + 1))
+@example(case=(12, 18, 2 * 12 * 18 - 1))
+@example(case=(1, 7, 8))  # an empty box just past N = AB
+@example(case=(13, 17, 13 * 17))
+@example(case=(13, 17, 2 * 13 * 17 - 1))
+@example(case=(999_983, 1_000_003, 999_983 * 1_000_003 // 7))
+@example(case=(999_999, 1_000_002, 2 * 999_999 * 1_000_002 - 999_999 * 1_000_002 // 5))
+def test_open_box_below_matches_row_oracle(case):
+    # the one-floor-sum edge count against the O(A) row count of
+    # x/A + y/B <= N/(AB) over the open box
+    A, B, N = case
+    want = oracle_rows(A, B, Fraction(N, A * B), True, True, True, True, False)
+    assert _open_box_below(A, B, N) == want
+
+
+def test_window_counts_examples():
+    assert _window_counts(3, 2, 3, 5) == (8, 0, 0)  # offset 3/2
+    assert _window_counts(0, 1, 2, 2) == (0, 0, 1)
+    assert _window_counts(0, 1, 2, 3) == (1, 1, 0)  # 5/6 -> +1, 7/6 -> -1
+
+
+def test_window_counts_matches_enumeration():
     rng = random.Random(42)
     for _ in range(150):
         A, B = rng.randint(2, 12), rng.randint(2, 12)
@@ -202,7 +228,9 @@ def test_window_weight_matches_enumeration():
                     plus += 1
                 else:
                     minus += 1
-        assert window_weight(c, A, B) == (plus - minus, boundary), (c, A, B)
+        L = c.denominator
+        got = _window_counts(c.numerator % (2 * L), L, A, B)
+        assert got == (plus, minus, boundary), (c, A, B)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +249,25 @@ def test_tau_kernel_matches_brute_on_cross_validation_instance():
     vectors = [(3, 3, 3, 7, 20)]
     vectors += itertools.combinations_with_replacement(range(2, 10), 5)
     assert len(vectors) == 1 + 792
+    for a in vectors:
+        b = tau_brute(a)
+        k = tau_kernel(a)
+        assert (k.tau, k.plus_count, k.minus_count, k.boundary_skipped) == (
+            b.tau,
+            b.plus_count,
+            b.minus_count,
+            b.boundary_skipped,
+        ), a
+
+
+def test_tau_kernel_matches_brute_with_even_outer_length():
+    # an even number of outer exponents swaps plus and minus between
+    # mirrored residues; n = 4 (three outer) never takes that branch
+    vectors = [
+        *itertools.combinations_with_replacement(range(2, 10), 4),
+        *itertools.combinations_with_replacement(range(2, 8), 6),
+    ]
+    assert len(vectors) == 330 + 462
     for a in vectors:
         b = tau_brute(a)
         k = tau_kernel(a)
