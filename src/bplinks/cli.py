@@ -2,9 +2,11 @@
 stderr.
 
 Exit codes: 0 success, 1 refusal (budget, missing primes, regime), 2 usage
-error, 3 internal invariant violation.  The signature budget (points for
-tau_brute, residue-DP steps for tau_kernel) is set by --budget or the
-BPLINKS_TAU_BUDGET environment variable and bounds both methods.
+error, 3 internal invariant violation or any other internal error.  The
+signature budget (points for tau_brute, residue-DP steps for tau_kernel) is
+set by --budget or the BPLINKS_TAU_BUDGET environment variable and bounds
+both methods; tau_kernel's closed form for (2, 2, a, b, c) with a, b, c
+pairwise coprime takes no DP steps, so the budget never refuses it.
 """
 
 from __future__ import annotations
@@ -68,8 +70,9 @@ class ScanCache:
         self._fh.flush()
 
     def _load(self) -> None:
-        with open(self.path) as fh:
-            lines = fh.read().splitlines()
+        with open(self.path, errors="replace") as fh:  # bad bytes fail as JSON
+            text = fh.read()
+        lines = text.splitlines()
         if not lines:
             raise RefusalError(f"cache {self.path} is empty (missing version header)")
         try:
@@ -85,9 +88,25 @@ class ScanCache:
                 vec = tuple(rec["vector"])
                 rec["tau"], rec["method"]
             except (json.JSONDecodeError, KeyError, TypeError):
+                if lineno == len(lines) and not text.endswith("\n"):
+                    self._drop_torn_tail(lineno)
+                    break
                 raise RefusalError(f"cache {self.path} line {lineno}: corrupt record")
             if version == CACHE_VERSION:
                 self.entries[vec] = rec
+        else:
+            if not text.endswith("\n"):  # a whole last record short of its newline
+                with open(self.path, "a") as fh:
+                    fh.write("\n")
+
+    def _drop_torn_tail(self, lineno: int) -> None:
+        """Truncate an unfinished last record (no newline, does not parse),
+        as a scan killed mid-write leaves it, back to the last good line."""
+        with open(self.path, "r+b") as fh:
+            data = fh.read()
+            keep = data.rfind(b"\n") + 1
+            fh.truncate(keep)
+        _diag(f"cache {self.path} line {lineno}: dropped a torn record ({len(data) - keep} bytes)")
 
     def get(self, vector: tuple) -> Optional[dict]:
         return self.entries.get(vector)
@@ -202,10 +221,7 @@ def _cmd_moduli(args) -> int:
 
 
 def _cmd_euler(args) -> int:
-    chi = None
-    if args.chi_poly:
-        chi = [Fraction(c) for c in args.chi_poly.split(",")]
-    rep = mean_euler(args.n, args.p, args.l, chi_p=chi)
+    rep = mean_euler(args.n, args.p, args.l, chi_p=args.chi_poly)
     _emit(
         {
             "n": rep.n,
@@ -264,6 +280,25 @@ def _cmd_scan(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Argument types: a bad value is a usage error (exit 2), not a refusal
+
+
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = f"integer >= {lo}"
+    return parse
+
+
+def _fraction_list(text: str) -> list:
+    try:
+        return [Fraction(c) for c in text.split(",")]
+    except (ValueError, ZeroDivisionError) as err:
+        raise argparse.ArgumentTypeError(f"bad coefficient list {text!r}: {err}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--samples", type=int, default=7)
-    p.add_argument("--verify", type=int, default=3)
+    p.add_argument("--samples", type=_int_at_least(1), default=7)
+    p.add_argument("--verify", type=_int_at_least(0), default=3)
     p.set_defaults(func=_cmd_qpfit)
 
     p = sub.add_parser("family", help="generate one infinite-family member")
@@ -321,7 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--chi-poly", default=None, help="ascending coefficients c0,c1,...")
+    p.add_argument(
+        "--chi-poly", type=_fraction_list, default=None, help="ascending coefficients c0,c1,..."
+    )
     p.set_defaults(func=_cmd_euler)
 
     p = sub.add_parser("scan", help="enumerate and classify sorted vectors")
@@ -351,6 +388,9 @@ def main(argv=None) -> int:
     except ValueError as err:
         _diag(f"error: {err}")
         return 2
+    except Exception as err:  # last resort: one line, never a traceback
+        _diag(f"internal error: {type(err).__name__}: {err}")
+        return 3
 
 
 if __name__ == "__main__":

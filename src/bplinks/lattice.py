@@ -2,9 +2,14 @@
 enumeration and by a 2-coordinate kernel, plus the gamma/delta/beta
 counters used to certify the quasi-polynomial structure.
 
-The kernel runs on integers: a residue DP folds the outer coordinates,
-and each residue's window is counted over the inner box with floor sums.
-Two exact symmetries keep that small.  Flipping every coordinate
+The kernel runs on integers.  The sorted shape (2, 2, a, b, c) with a, b, c
+pairwise coprime has an O(log) closed form: minus is twice the interior
+count of the tetrahedron with vertices 0, a e1, b e2, c e3, which Mordell's
+formula gives through three Dedekind sums, each evaluated by reciprocity in
+integers.  It takes no DP steps, so no budget applies to it.  Every other
+vector takes the residue DP, which folds the outer coordinates and counts
+each residue's window over the inner box with floor sums.  Two exact
+symmetries keep that small.  Flipping every coordinate
 (x -> a - x) pairs residue r with its mirror (m*L - r) mod 2L, whose window
 counts are the same or have plus and minus swapped, so one window count
 serves both.  Below an edge Bx + Ay <= N with N <= AB the box's upper
@@ -237,9 +242,87 @@ def tau_brute(a: Sequence[int], budget: int | None = None) -> SignatureResult:
     )
 
 
+def _dedekind_d(h: int, k: int) -> int:
+    """D(h, k) = 6k * s(h, k), an integer, for coprime h >= 0, k >= 1, where
+    s(h, k) = sum_{i=1}^{k-1} ((i/k)) ((hi/k)) is the Dedekind sum.
+
+    Reciprocity 2h D(h, k) + 2k D(k, h) = h^2 + k^2 + 1 - 3hk, with
+    D(h, k) = D(h mod k, k) and D(0, 1) = 0, descends like Euclid's
+    algorithm and climbs back up by exact integer division."""
+    steps = []
+    h %= k
+    while h:
+        steps.append((h, k))
+        h, k = k % h, h
+    d = 0  # D(0, 1)
+    for h, k in reversed(steps):
+        num = h * h + k * k + 1 - 3 * h * k - 2 * k * d
+        d, rem = divmod(num, 2 * h)
+        if rem:
+            raise InvariantViolation(f"Dedekind reciprocity left remainder {rem} at ({h}, {k})")
+    return d
+
+
+def _tetrahedron_interior(a: int, b: int, c: int) -> int:
+    """#{x, y, z >= 1 : bc x + ca y + ab z < abc} for pairwise coprime a, b, c:
+    the interior points of the tetrahedron with vertices 0, a e1, b e2, c e3.
+
+    Mordell's formula for the tetrahedron's Ehrhart polynomial (Beck-Robins,
+    Computing the Continuous Discretely, ch. 8) with Ehrhart-Macdonald
+    reciprocity M = -L(-1), multiplied through by 12abc and evaluated in
+    integers."""
+    bc, ca, ab = b * c, c * a, a * b
+    abc = ab * c
+    num = (
+        2 * abc * abc
+        - 3 * abc * (ab + bc + ca + 1)
+        + 3 * abc * (a + b + c)
+        - 3 * abc
+        + ab * ab + bc * bc + ca * ca + 1
+        - 2 * bc * _dedekind_d(bc, a)
+        - 2 * ca * _dedekind_d(ca, b)
+        - 2 * ab * _dedekind_d(ab, c)
+    )
+    m, rem = divmod(num, 12 * abc)
+    if rem:
+        raise InvariantViolation(f"Mordell's count for ({a}, {b}, {c}) left remainder {rem}")
+    return m
+
+
 def tau_kernel(a: Sequence[int], budget: int | None = None) -> SignatureResult:
-    """Signature via the 2-coordinate kernel: the two largest exponents A, B
-    form the inner box, the outer coordinates are folded by a residue DP.
+    """Signature via the 2-coordinate kernel.
+
+    The sorted shape (2, 2, a, b, c) with a, b, c pairwise coprime (the n = 4
+    exotic family and the paper's (2, 2, 338, 339, 341)) has a closed form.
+    The two 2s add exactly 1, so S = 1 + x/a + y/b + z/c is plus iff
+    1 < t = x/a + y/b + z/c < 2; by coprimality t is never an integer, and
+    the flip x -> a - x maps t < 1 onto t > 2.  So minus = 2M and
+    plus = (a-1)(b-1)(c-1) - 2M, with M the tetrahedron's interior count
+    (_tetrahedron_interior: three Dedekind sums, O(log)).  It takes no DP
+    steps, so the budget does not apply and it never refuses.
+
+    Every other vector takes the residue DP (_tau_residue_dp), whose work
+    is estimated first and refused beyond the budget (default 10^8, env
+    override BPLINKS_TAU_BUDGET).
+    """
+    a = exponent_vector(a)
+    A, B, C = a[-3:]
+    if len(a) != 5 or a[1] != 2 or gcd(A, B) * gcd(A, C) * gcd(B, C) != 1:
+        return _tau_residue_dp(a, budget)
+    minus = 2 * _tetrahedron_interior(A, B, C)
+    plus = (A - 1) * (B - 1) * (C - 1) - minus
+    return SignatureResult(
+        tau=plus - minus,
+        plus_count=plus,
+        minus_count=minus,
+        boundary_skipped=0,
+        method="kernel",
+    )
+
+
+def _tau_residue_dp(a: tuple, budget: int | None) -> SignatureResult:
+    """Signature of a validated vector by the residue DP: the two largest
+    exponents A, B form the inner box, the outer coordinates are folded.
 
     With L = lcm(outer), the outer offset is r/L with r = sum x_i L/a_i,
     and only r mod 2L matters; the DP counts the outer points per residue,
@@ -249,9 +332,8 @@ def tau_kernel(a: Sequence[int], budget: int | None = None) -> SignatureResult:
     m + 2 - S, so the mirror's window counts equal r's for odd m and have
     plus and minus swapped for even m.  The equal outer counts are checked
     on every residue.  The DP work is estimated first and refused beyond
-    the budget (default 10^8, env override BPLINKS_TAU_BUDGET).
+    the budget.
     """
-    a = exponent_vector(a)
     A, B = a[-2], a[-1]
     outer = a[:-2]
     L = lcm(*outer)
@@ -390,8 +472,17 @@ def _count_enumerate(spec: CountSpec, budget: int) -> int:
     return total
 
 
-def _count_kernel(spec: CountSpec) -> int:
-    items = sorted(zip(spec.denoms, spec.lower_open, spec.upper_bounded))
+def _count_kernel(spec: CountSpec, budget: int) -> int:
+    flags = list(zip(spec.denoms, spec.lower_open, spec.upper_bounded))
+    order = sorted(range(len(flags)), key=flags.__getitem__)
+    # each outer point is one leaf, one O(log) 2D count
+    estimate = prod(_coord_range_size(spec, i) for i in order[:-2])
+    if estimate > budget:
+        raise RefusalError(
+            f"count_box kernel would visit ~{estimate} outer points "
+            f"(budget {budget}); raise the budget or BPLINKS_TAU_BUDGET"
+        )
+    items = [flags[i] for i in order]
     outer = items[:-2]
     (A, ax_open, ax_bounded), (B, ay_open, ay_bounded) = items[-2], items[-1]
     strict = spec.strict_upper
@@ -419,10 +510,13 @@ def _count_kernel(spec: CountSpec) -> int:
 
 def count_box(spec: CountSpec, method: str = "kernel", budget: int | None = None) -> int:
     """Exact count for a CountSpec.  method "kernel" folds the two largest
-    denominators into an O(log) integer 2D count; "enumerate" visits every
-    point (budgeted) and exists as the independent oracle."""
+    denominators into an O(log) integer 2D count per outer point;
+    "enumerate" visits every point and exists as the independent oracle.
+    Both estimate their work first (outer points for the kernel, all points
+    for enumeration) and refuse beyond the budget (default 10^8, env
+    override BPLINKS_TAU_BUDGET)."""
     if method == "kernel":
-        return _count_kernel(spec)
+        return _count_kernel(spec, _resolve_budget(budget))
     if method == "enumerate":
         return _count_enumerate(spec, _resolve_budget(budget))
     raise ValueError(f"unknown count_box method {method!r}")

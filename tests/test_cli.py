@@ -227,6 +227,14 @@ def test_scan_refuses_corrupt_cache(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_scan_refuses_cache_with_undecodable_bytes(capsys, tmp_path):
+    cache = tmp_path / "scan.cache"
+    cache.write_bytes(b'{"version": 1}\n\xff\xfe garbage\n')
+    code, _, err = run_cli(capsys, "scan", "--n", "4", "--amax", "4", "--cache", str(cache))
+    assert code == 1
+    assert "line 2" in err
+
+
 def test_scan_refuses_missing_header(capsys, tmp_path):
     cache = tmp_path / "scan.cache"
     cache.write_text('{"no_version": true}\n')
@@ -261,13 +269,14 @@ def test_refusal_exits_1(capsys):
 
 
 def test_kernel_budget_refusal_exits_1(capsys, monkeypatch):
-    # outer (2, 2, 2) of (2, 2, 2, 3, 5) costs the kernel 4 residue steps
+    # outer (2, 2, 2) of (2, 2, 2, 3, 9) costs the kernel 4 residue steps
+    # ((2, 2, 2, 3, 5) takes the budget-free closed form: 2, 3, 5 are coprime)
     for cmd in ("tau", "classify"):
-        code, lines, err = run_cli(capsys, cmd, "--budget", "3", "2", "2", "2", "3", "5")
+        code, lines, err = run_cli(capsys, cmd, "--budget", "3", "2", "2", "2", "3", "9")
         assert code == 1 and lines == []
         assert "budget 3" in err
-        code, lines, _ = run_cli(capsys, cmd, "--budget", "4", "2", "2", "2", "3", "5")
-        assert code == 0 and lines[0]["tau"] == 8
+        code, lines, _ = run_cli(capsys, cmd, "--budget", "4", "2", "2", "2", "3", "9")
+        assert code == 0 and lines[0]["tau"] == 12
 
     monkeypatch.delenv("BPLINKS_TAU_BUDGET", raising=False)
     start = time.perf_counter()
@@ -275,3 +284,82 @@ def test_kernel_budget_refusal_exits_1(capsys, monkeypatch):
     assert time.perf_counter() - start < 1
     assert code == 1
     assert "~2081992858 " in err and "(budget 100000000)" in err
+
+
+def test_closed_form_tau_ignores_budget(capsys):
+    code, lines, _ = run_cli(capsys, "tau", "--budget", "1", "2", "2", "338", "339", "341")
+    assert code == 0 and lines[0]["tau"] == 13023816
+    assert lines[0]["boundary_skipped"] == 0
+
+
+def test_bad_chi_poly_is_a_usage_error(capsys):
+    for bad in ("1/0", "1,x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["euler", "--n", "4", "--p", "8", "--l", "3", "--chi-poly", bad])
+        assert exc.value.code == 2
+        assert "--chi-poly" in capsys.readouterr().err
+    code, lines, _ = run_cli(
+        capsys, "euler", "--n", "4", "--p", "8", "--l", "3", "--chi-poly", "1/2,3"
+    )
+    assert code == 0 and lines[0]["chi_p_model"] == "user polynomial 1/2,3"
+
+
+def test_qpfit_rejects_bad_counts(capsys):
+    for flag, value in (("--samples", "0"), ("--samples", "-1"), ("--verify", "-2")):
+        with pytest.raises(SystemExit) as exc:
+            main(["qpfit", "--m", "2", "--k", "1", "--l", "3", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+    code, lines, _ = run_cli(
+        capsys, "qpfit", "--m", "2", "--k", "1", "--l", "3", "--samples", "7", "--verify", "0"
+    )
+    assert code == 0 and "verify" not in lines[0]
+
+
+def test_unexpected_exception_exits_3_with_one_line(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "_cmd_bp_order", broken)
+    code, lines, err = run_cli(capsys, "bp-order", "--m", "3")
+    assert code == 3 and lines == []
+    assert err == "internal error: KeyError: 'lost'\n"
+
+
+def test_scan_drops_torn_last_cache_line(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "scan.cache"
+    code, _, _ = run_cli(capsys, "scan", "--n", "4", "--amax", "6", "--cache", str(cache))
+    assert code == 0
+    good = cache.read_text().splitlines(keepends=True)
+    torn_vector = tuple(json.loads(good[-1])["vector"])
+    cache.write_text("".join(good[:-1]) + good[-1][:25])  # killed mid-write
+
+    computed = []
+    real_classify = cli.classify_link
+
+    def recording(vector, **kw):
+        if kw.get("precomputed_tau") is None:
+            computed.append(tuple(vector))
+        return real_classify(vector, **kw)
+
+    monkeypatch.setattr(cli, "classify_link", recording)
+    code, lines, err = run_cli(capsys, "scan", "--n", "4", "--amax", "6", "--cache", str(cache))
+    assert code == 0 and len(lines) == 126
+    assert "torn" in err and "line 127" in err
+    assert computed == [torn_vector]
+    text = cache.read_text()
+    records = [json.loads(line) for line in text.splitlines()]  # every line parses
+    assert text.endswith("\n") and len(records) == 1 + 126
+    reloaded = cli.ScanCache(cache)
+    reloaded.close()
+    assert len(reloaded.entries) == 126 and torn_vector in reloaded.entries
+
+
+def test_scan_cache_completes_a_last_line_missing_its_newline(capsys, tmp_path):
+    cache = tmp_path / "scan.cache"
+    run_cli(capsys, "scan", "--n", "4", "--amax", "4", "--cache", str(cache))
+    text = cache.read_text()
+    cache.write_text(text.rstrip("\n"))  # the record is whole, only "\n" is lost
+    code, _, err = run_cli(capsys, "scan", "--n", "4", "--amax", "5", "--cache", str(cache))
+    assert code == 0 and "torn" not in err
+    assert all(json.loads(line) for line in cache.read_text().splitlines())

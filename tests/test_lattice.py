@@ -2,7 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +12,9 @@ from bplinks.errors import RefusalError
 from bplinks.lattice import (
     _count_2d,
     _count_eq_2d,
+    _dedekind_d,
     _open_box_below,
+    _tau_residue_dp,
     _window_counts,
     beta_via_gamma,
     count_box,
@@ -24,7 +26,7 @@ from bplinks.lattice import (
     tau_brute,
     tau_kernel,
 )
-from bplinks.topology import classify_sphere
+from bplinks.topology import classify_sphere, exponent_vector
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +292,70 @@ def test_tau_matches_rational_oracle_small():
         assert (k.tau, k.boundary_skipped) == (tau, boundary), a
 
 
+def _sawtooth(x: Fraction) -> Fraction:
+    """((x)): x - floor(x) - 1/2 off the integers, 0 on them."""
+    if x.denominator == 1:
+        return Fraction(0)
+    return x - x.numerator // x.denominator - Fraction(1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 200), h=st.integers(0, 10**6))
+@example(k=1, h=0)
+@example(k=200, h=199)
+def test_dedekind_d_matches_sawtooth_sum(k, h):
+    while gcd(h, k) != 1:
+        h += 1
+    s = sum(_sawtooth(Fraction(i, k)) * _sawtooth(Fraction(h * i, k)) for i in range(1, k))
+    assert _dedekind_d(h, k) == 6 * k * s
+
+
+def _fields(sig):
+    return sig.tau, sig.plus_count, sig.minus_count, sig.boundary_skipped
+
+
+def test_tetrahedron_form_matches_residue_dp_on_small_triples():
+    triples = [
+        (a, b, c)
+        for a, b, c in itertools.combinations(range(2, 46), 3)
+        if gcd(a, b) == gcd(a, c) == gcd(b, c) == 1
+    ]
+    assert len(triples) > 3000
+    for t in triples:
+        a = (2, 2, *t)
+        assert _fields(tau_kernel(a)) == _fields(_tau_residue_dp(a, None)), a
+
+
+def _next_coprime(x: int, m: int) -> int:
+    while gcd(x, m) != 1:
+        x += 1
+    return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.integers(2, 3000), b=st.integers(2, 10**6), c=st.integers(2, 10**6))
+@example(a=338, b=339, c=341)
+@example(a=2, b=3, c=5)
+@example(a=2999, b=10**6 - 1, c=10**6)
+def test_tetrahedron_form_matches_residue_dp_on_large_triples(a, b, c):
+    # the residue DP over the outer (2, 2, a) is O(a); b and c cost O(log)
+    b = _next_coprime(b, a)
+    c = _next_coprime(c, a * b)
+    vec = exponent_vector((2, 2, a, b, c))
+    assert _fields(tau_kernel(vec)) == _fields(_tau_residue_dp(vec, None)), vec
+
+
+def test_tetrahedron_form_takes_no_budget_on_the_large_exotic_member():
+    # n = 4 exotic family at p = 812002 (l = 3): the residue DP takes seconds
+    start = time.perf_counter()
+    sig = tau_kernel((2, 2, 812002, 812003, 812005), budget=1)
+    assert time.perf_counter() - start < 0.01
+    assert sig.tau == 178464640487578672  # the residue DP's value
+    assert sig.boundary_skipped == 0 and sig.method == "kernel"
+    with pytest.raises(RefusalError):  # the shape test is exact: (2, 3, 3) is not coprime
+        tau_kernel((2, 2, 3, 3, 812005), budget=1)
+
+
 def test_tau_brute_budget_refusal():
     with pytest.raises(RefusalError):
         tau_brute((2, 2, 338, 339, 341), budget=10**6)
@@ -375,6 +441,21 @@ def test_count_box_enumeration_budget_refusal():
     spec = count_spec((100, 100, 100), 3)
     with pytest.raises(RefusalError):
         count_box(spec, method="enumerate", budget=1000)
+
+
+def test_count_box_kernel_budget_refusal(monkeypatch):
+    # the estimate counts only the outer coordinates: 4 * 5 outer points
+    spec = count_spec((3, 4, 100, 100), 1)
+    with pytest.raises(RefusalError, match=r"~20 .*budget 19\)"):
+        count_box(spec, budget=19)
+    assert count_box(spec, budget=20) == count_box(spec, method="enumerate")
+    # (3*10^6 + 1)(3*10^6 + 4) outer points over the two smallest denominators
+    monkeypatch.delenv("BPLINKS_TAU_BUDGET", raising=False)
+    spec = count_spec((10**6, 10**6 + 1, 10**6 + 3, 10**6 + 7), 3)
+    start = time.perf_counter()
+    with pytest.raises(RefusalError, match=r"~9000015000004 .*budget 100000000\)"):
+        count_box(spec)
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------
