@@ -2,17 +2,18 @@
 stderr.
 
 Exit codes: 0 success, 1 refusal (budget, missing primes, regime), 2 usage
-error, 3 internal invariant violation or any other internal error.  The
-signature budget (points for tau_brute, residue-DP steps for tau_kernel) is
-set by --budget or the BPLINKS_TAU_BUDGET environment variable and bounds
-both methods; tau_kernel's closed form for (2, 2, a, b, c) with a, b, c
-pairwise coprime takes no DP steps, so the budget never refuses it.
+error, 3 internal invariant violation.  The signature budget (points for
+tau_brute, residue-DP steps for tau_kernel) is set by --budget or the
+BPLINKS_TAU_BUDGET environment variable and bounds both methods;
+tau_kernel's closed form for (2, 2, a, b, c) with a, b, c pairwise coprime
+takes no DP steps, so the budget never refuses it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -50,11 +51,12 @@ class ScanCache:
         self.path = Path(path)
         self.entries: dict[tuple, dict] = {}
         fresh = not self.path.exists()
-        if not fresh:
-            self._load()
+        unterminated = not fresh and self._load()
         self._fh = open(self.path, "a")
         if fresh:
             self._append({"version": CACHE_VERSION})
+        elif unterminated:  # a whole last record short of its newline
+            self._fh.write("\n")
 
     def __enter__(self) -> ScanCache:
         return self
@@ -69,10 +71,12 @@ class ScanCache:
         self._fh.write(json.dumps(rec) + "\n")
         self._fh.flush()
 
-    def _load(self) -> None:
-        with open(self.path, errors="replace") as fh:  # bad bytes fail as JSON
-            text = fh.read()
-        lines = text.splitlines()
+    def _load(self) -> bool:
+        """Read every record.  A last line that does not parse and has no
+        newline is a torn write from a killed scan: truncate it away.
+        Returns True when a whole last record lacks only its newline."""
+        data = self.path.read_bytes()
+        lines = data.decode(errors="replace").splitlines()  # bad bytes fail as JSON
         if not lines:
             raise RefusalError(f"cache {self.path} is empty (missing version header)")
         try:
@@ -80,6 +84,7 @@ class ScanCache:
             version = header["version"]
         except (json.JSONDecodeError, KeyError, TypeError):
             raise RefusalError(f"cache {self.path} line 1: bad version header")
+        unterminated = not data.endswith(b"\n")
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
@@ -88,25 +93,18 @@ class ScanCache:
                 vec = tuple(rec["vector"])
                 rec["tau"], rec["method"]
             except (json.JSONDecodeError, KeyError, TypeError):
-                if lineno == len(lines) and not text.endswith("\n"):
-                    self._drop_torn_tail(lineno)
-                    break
+                if lineno == len(lines) and unterminated:
+                    keep = data.rfind(b"\n") + 1
+                    os.truncate(self.path, keep)
+                    _diag(
+                        f"cache {self.path} line {lineno}: "
+                        f"dropped a torn record ({len(data) - keep} bytes)"
+                    )
+                    return False
                 raise RefusalError(f"cache {self.path} line {lineno}: corrupt record")
             if version == CACHE_VERSION:
                 self.entries[vec] = rec
-        else:
-            if not text.endswith("\n"):  # a whole last record short of its newline
-                with open(self.path, "a") as fh:
-                    fh.write("\n")
-
-    def _drop_torn_tail(self, lineno: int) -> None:
-        """Truncate an unfinished last record (no newline, does not parse),
-        as a scan killed mid-write leaves it, back to the last good line."""
-        with open(self.path, "r+b") as fh:
-            data = fh.read()
-            keep = data.rfind(b"\n") + 1
-            fh.truncate(keep)
-        _diag(f"cache {self.path} line {lineno}: dropped a torn record ({len(data) - keep} bytes)")
+        return unterminated
 
     def get(self, vector: tuple) -> Optional[dict]:
         return self.entries.get(vector)
@@ -388,9 +386,6 @@ def main(argv=None) -> int:
     except ValueError as err:
         _diag(f"error: {err}")
         return 2
-    except Exception as err:  # last resort: one line, never a traceback
-        _diag(f"internal error: {type(err).__name__}: {err}")
-        return 3
 
 
 if __name__ == "__main__":

@@ -316,16 +316,6 @@ def test_qpfit_rejects_bad_counts(capsys):
     assert code == 0 and "verify" not in lines[0]
 
 
-def test_unexpected_exception_exits_3_with_one_line(capsys, monkeypatch):
-    def broken(args):
-        raise KeyError("lost")
-
-    monkeypatch.setattr(cli, "_cmd_bp_order", broken)
-    code, lines, err = run_cli(capsys, "bp-order", "--m", "3")
-    assert code == 3 and lines == []
-    assert err == "internal error: KeyError: 'lost'\n"
-
-
 def test_scan_drops_torn_last_cache_line(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "scan.cache"
     code, _, _ = run_cli(capsys, "scan", "--n", "4", "--amax", "6", "--cache", str(cache))
