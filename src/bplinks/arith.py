@@ -1,5 +1,5 @@
 """Exact integer/rational utilities: Bernoulli numbers, bP group orders,
-bounded compositions.
+bounded compositions, and the JSON form of exact values.
 
 Everything here is exact; there is deliberately no floating point anywhere
 in this package.
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-__all__ = ["BPOrder", "bernoulli_even", "bp_order", "bounded_compositions"]
+__all__ = ["BPOrder", "bernoulli_even", "bp_order", "bounded_compositions", "to_jsonable"]
 
 
 # Memo table for Bernoulli numbers B_0..B_max computed so far.
@@ -92,3 +92,20 @@ def bounded_compositions(sigma: int, parts: int, lo: int, hi: int | None = None)
         term = comb(parts, i) * comb(rem + parts - 1, parts - 1)
         total += term if i % 2 == 0 else -term
     return total
+
+
+def to_jsonable(x):
+    """The JSON form of an exact value, the one place that decides it.
+
+    A Fraction becomes the string "num/den" in lowest terms (an integral
+    Fraction too: Fraction(3) is "3/1"), a tuple becomes a list, and dicts
+    and lists are converted item by item (dict keys are kept as they are).
+    Anything else is returned unchanged, so ints stay JSON numbers.
+    """
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, dict):
+        return {k: to_jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [to_jsonable(v) for v in x]
+    return x

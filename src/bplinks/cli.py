@@ -16,13 +16,14 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .arith import bp_order
+from .arith import bp_order, to_jsonable
 from .errors import InvariantViolation, RefusalError
 from .families import brieskorn_reference, fit_exotic_tau, gen_exotic, gen_odd_dim, gen_standard
 from .lattice import SignatureResult, tau_brute, tau_kernel
@@ -49,7 +50,7 @@ class ScanCache:
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        self.entries: dict[tuple, dict] = {}
+        self.entries: dict[tuple, SignatureResult] = {}
         fresh = not self.path.exists()
         unterminated = not fresh and self._load()
         self._fh = open(self.path, "a")
@@ -72,9 +73,11 @@ class ScanCache:
         self._fh.flush()
 
     def _load(self) -> bool:
-        """Read every record.  A last line that does not parse and has no
-        newline is a torn write from a killed scan: truncate it away.
-        Returns True when a whole last record lacks only its newline."""
+        """Read every record.  A header of another version is refused, and
+        so is a record that does not parse or lacks a field of the signature.
+        The one exception is a bad last line with no newline: a torn write
+        from a killed scan, truncated away.  Returns True when a whole last
+        record lacks only its newline."""
         data = self.path.read_bytes()
         lines = data.decode(errors="replace").splitlines()  # bad bytes fail as JSON
         if not lines:
@@ -84,14 +87,18 @@ class ScanCache:
             version = header["version"]
         except (json.JSONDecodeError, KeyError, TypeError):
             raise RefusalError(f"cache {self.path} line 1: bad version header")
+        if version != CACHE_VERSION:
+            raise RefusalError(
+                f"cache {self.path} has version {version!r}; "
+                f"this tool reads version {CACHE_VERSION}"
+            )
         unterminated = not data.endswith(b"\n")
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-                vec = tuple(rec["vector"])
-                rec["tau"], rec["method"]
+                self.entries[tuple(rec["vector"])] = _cached_signature(rec)
             except (json.JSONDecodeError, KeyError, TypeError):
                 if lineno == len(lines) and unterminated:
                     keep = data.rfind(b"\n") + 1
@@ -102,11 +109,9 @@ class ScanCache:
                     )
                     return False
                 raise RefusalError(f"cache {self.path} line {lineno}: corrupt record")
-            if version == CACHE_VERSION:
-                self.entries[vec] = rec
         return unterminated
 
-    def get(self, vector: tuple) -> Optional[dict]:
+    def get(self, vector: tuple) -> Optional[SignatureResult]:
         return self.entries.get(vector)
 
     def put(self, vector: tuple, sig: SignatureResult) -> None:
@@ -120,16 +125,16 @@ class ScanCache:
             "version": CACHE_VERSION,
             "tool": __version__,
         }
-        self.entries[vector] = rec
+        self.entries[vector] = sig
         self._append(rec)
 
 
 def _cached_signature(rec: dict) -> SignatureResult:
     return SignatureResult(
         tau=rec["tau"],
-        plus_count=rec.get("plus", 0),
-        minus_count=rec.get("minus", 0),
-        boundary_skipped=rec.get("boundary", 0),
+        plus_count=rec["plus"],
+        minus_count=rec["minus"],
+        boundary_skipped=rec["boundary"],
         method=rec["method"],
     )
 
@@ -200,18 +205,7 @@ def _cmd_bp_order(args) -> int:
 
 def _cmd_moduli(args) -> int:
     dim = moduli_dimension(args.n, args.p, args.l)
-    _emit(
-        {
-            "n": dim.n,
-            "p": dim.p,
-            "l": dim.l,
-            "h0_d": dim.h0_d,
-            "h0_weights_sum": dim.h0_weights_sum,
-            "dimension": dim.dimension,
-            "closed_form": dim.closed_form,
-            "agree": dim.agree,
-        }
-    )
+    _emit({**asdict(dim), "agree": dim.agree})
     if not dim.agree:
         _diag("moduli: DP and closed form disagree")
         return 3
@@ -220,26 +214,25 @@ def _cmd_moduli(args) -> int:
 
 def _cmd_euler(args) -> int:
     rep = mean_euler(args.n, args.p, args.l, chi_p=args.chi_poly)
-    _emit(
-        {
-            "n": rep.n,
-            "p": rep.p,
-            "l": rep.l,
-            "mu_p": rep.mu_p,
-            "phi_2": rep.phi_2,
-            "chi_m": f"{rep.chi_m.numerator}/{rep.chi_m.denominator}",
-            "chi_p_model": rep.chi_p_model,
-            "strata": [
-                {
-                    "orbit_space": s.label,
-                    "period": s.period,
-                    "chi_s1": f"{s.chi_s1.numerator}/{s.chi_s1.denominator}",
-                    "frequency": s.frequency,
-                }
-                for s in rep.strata
-            ],
-        }
-    )
+    out = {
+        "n": rep.n,
+        "p": rep.p,
+        "l": rep.l,
+        "mu_p": rep.mu_p,
+        "phi_2": rep.phi_2,
+        "chi_m": rep.chi_m,
+        "chi_p_model": rep.chi_p_model,
+        "strata": [
+            {
+                "orbit_space": s.label,
+                "period": s.period,
+                "chi_s1": s.chi_s1,
+                "frequency": s.frequency,
+            }
+            for s in rep.strata
+        ],
+    }
+    _emit(to_jsonable(out))
     return 0
 
 
@@ -251,17 +244,15 @@ def _cmd_scan(args) -> int:
             vector = tuple(combo)
             pre = None
             if cache is not None and args.n % 2 == 0:
-                rec = cache.get(vector)
-                if rec is not None:
-                    pre = _cached_signature(rec)
-                    if args.paranoid:
-                        fresh = tau_kernel(vector)
-                        if fresh.tau != pre.tau:
-                            raise InvariantViolation(
-                                f"cache disagrees with recomputation on {vector}: "
-                                f"{pre.tau} != {fresh.tau}"
-                            )
-                        pre = fresh
+                pre = cache.get(vector)
+                if pre is not None and args.paranoid:
+                    fresh = tau_kernel(vector)
+                    if fresh.tau != pre.tau:
+                        raise InvariantViolation(
+                            f"cache disagrees with recomputation on {vector}: "
+                            f"{pre.tau} != {fresh.tau}"
+                        )
+                    pre = fresh
             rep = classify_link(vector, tau_method="kernel", precomputed_tau=pre)
             if cache is not None and rep.signature is not None and pre is None:
                 cache.put(vector, rep.signature)

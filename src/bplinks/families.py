@@ -8,12 +8,12 @@ signature themselves, leaving that to the lattice module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .arith import bp_order
+from .arith import bp_order, to_jsonable
 from .errors import InvariantViolation, NotQuasiPolynomialError, RefusalError
 from .lattice import tau_kernel
 from .primes import is_prime, primes_in_interval
@@ -42,20 +42,7 @@ class FamilySpec:
     expectations: dict
 
     def to_json_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, Fraction):
-                return f"{v.numerator}/{v.denominator}"
-            if isinstance(v, tuple):
-                return list(v)
-            return v
-
-        return {
-            "variant": self.variant,
-            "params": {k: enc(v) for k, v in self.params.items()},
-            "vector": list(self.vector),
-            "derived": {k: enc(v) for k, v in self.derived.items()},
-            "expectations": {k: enc(v) for k, v in self.expectations.items()},
-        }
+        return to_jsonable(asdict(self))
 
 
 def gen_odd_dim(m: int, p_n: int) -> FamilySpec:
@@ -238,30 +225,18 @@ class TauFit:
         return out
 
 
-def fit_exotic_tau(
-    m: int,
-    k: int,
-    l: int,
-    samples: int,
-    verify: int = 0,
-    degree: Optional[int] = None,
-    max_degree: Optional[int] = None,
-) -> TauFit:
+def fit_exotic_tau(m: int, k: int, l: int, samples: int, verify: int = 0) -> TauFit:
     """Sample tau on the exotic family at p = q*l*(l-1)+2 for `samples`
     consecutive q from the least admissible q0, and fit a quasi-polynomial
     of period l*(l-1) on that residue class.
 
     q0 is the first q that gen_exotic admits: the K-stability gate fails
     exactly below a threshold in p (q0 = 1 at m = 2, 2 at m = 3).  The
-    degree bound defaults to n = 2m and is raised up to n+2 if the samples
+    degree bound starts at n = 2m and is raised up to n+2 if the samples
     refuse to fit; held-out verification points (q = q0+samples, ...) are
     compared exactly against tau_kernel.
     """
     n = 2 * m
-    if degree is None:
-        degree = n
-    if max_degree is None:
-        max_degree = n + 2
     period = l * (l - 1)
 
     q0 = 1
@@ -283,7 +258,7 @@ def fit_exotic_tau(
 
     last_err: Optional[Exception] = None
     qp = None
-    for deg in range(degree, max_degree + 1):
+    for deg in range(n, n + 3):
         try:
             qp = qp_fit([(p, t) for _, p, t in pts], period, deg)
             degree = deg
@@ -293,7 +268,7 @@ def fit_exotic_tau(
     if qp is None:
         raise RefusalError(
             f"tau samples do not fit a quasi-polynomial up to degree "
-            f"{max_degree}: {last_err}"
+            f"{n + 2}: {last_err}"
         )
 
     verify_rows = None

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from .errors import InvariantViolation
 from .stability import k_stability
 from .families import exotic_vector
+from .quasipoly import _poly_eval
 
 __all__ = [
     "weighted_monomial_count",
@@ -70,16 +71,12 @@ class ModuliDimension:
     l: int
     h0_d: int
     h0_weights_sum: int
-    dp_value: int  # h0(d) - sum h0(d_i)
+    dimension: int  # h0(d) - sum h0(d_i), by DP
     closed_form: int  # C(p+n-4, n-4) - (n-3)^2 - 1
 
     @property
     def agree(self) -> bool:
-        return self.dp_value == self.closed_form
-
-    @property
-    def dimension(self) -> int:
-        return self.dp_value
+        return self.dimension == self.closed_form
 
 
 def moduli_dimension(n: int, p: int, l: int) -> ModuliDimension:
@@ -100,7 +97,7 @@ def moduli_dimension(n: int, p: int, l: int) -> ModuliDimension:
         l=l,
         h0_d=h0_d,
         h0_weights_sum=h0_sum,
-        dp_value=h0_d - h0_sum,
+        dimension=h0_d - h0_sum,
         closed_form=closed,
     )
 
@@ -143,13 +140,6 @@ class MeanEulerReport:
     chi_m: Fraction
     chi_p_model: str
     chi_p_value: Fraction
-
-
-def _poly_eval(coeffs: Sequence, x: int) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(list(coeffs)):
-        acc = acc * x + Fraction(c)
-    return acc
 
 
 def mean_euler(

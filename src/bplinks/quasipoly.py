@@ -9,10 +9,11 @@ than extrapolated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from .arith import to_jsonable
 from .errors import NotQuasiPolynomialError
 
 __all__ = [
@@ -88,8 +89,6 @@ class QuasiPolynomial:
     period: int
     degree_bound: int
     branches: dict  # residue -> Poly
-    fit_points: tuple = ()
-    verify_points: list = field(default_factory=list)
 
     def degree(self) -> int:
         return max(len(p) - 1 for p in self.branches.values())
@@ -99,7 +98,7 @@ class QuasiPolynomial:
             "period": self.period,
             "degree": self.degree(),
             "branches": {
-                str(r): [f"{c.numerator}/{c.denominator}" for c in poly]
+                str(r): to_jsonable(poly)
                 for r, poly in sorted(self.branches.items())
             },
         }
@@ -137,12 +136,7 @@ def qp_fit(samples: Iterable, period: int, degree_bound: int) -> QuasiPolynomial
             if pred != v:
                 raise NotQuasiPolynomialError(x, pred, v)
         branches[r] = poly
-    return QuasiPolynomial(
-        period=period,
-        degree_bound=degree_bound,
-        branches=branches,
-        fit_points=tuple(pts),
-    )
+    return QuasiPolynomial(period=period, degree_bound=degree_bound, branches=branches)
 
 
 def qp_eval(qp: QuasiPolynomial, x: int) -> Fraction:
@@ -171,7 +165,6 @@ def qp_verify(qp: QuasiPolynomial, oracle: Callable, points: Iterable) -> QpVeri
     entries = []
     for x in points:
         entries.append((x, qp_eval(qp, x), Fraction(oracle(x))))
-    qp.verify_points.extend(entries)
     return QpVerifyReport(entries=tuple(entries))
 
 

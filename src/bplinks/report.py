@@ -3,11 +3,10 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
+from .arith import to_jsonable
 from .lattice import SignatureResult, tau_brute, tau_kernel
 from .stability import StabilityReport, k_stability
 from .topology import (
@@ -34,8 +33,6 @@ class LinkReport:
     stability: StabilityReport
     signature: Optional[SignatureResult]
     diffeo: Optional[object]  # EvenDiffeoClass | OddDiffeoClass
-    tau_method: Optional[str]
-    elapsed_s: float
 
 
 def classify_link(
@@ -44,7 +41,6 @@ def classify_link(
     budget: Optional[int] = None,
     precomputed_tau: Optional[SignatureResult] = None,
 ) -> LinkReport:
-    start = time.perf_counter()
     original = _integers(values)
     a = exponent_vector(original)
     n = len(a) - 1
@@ -53,14 +49,12 @@ def classify_link(
 
     signature = None
     diffeo: Optional[object] = None
-    method = None
     if n % 2 == 0:
         if precomputed_tau is not None:
             signature = precomputed_tau
         else:
             engine = tau_brute if tau_method == "brute" else tau_kernel
             signature = engine(a, budget=budget)
-        method = signature.method
         if sphere.is_homotopy_sphere:
             diffeo = diffeo_class_even(n, signature.tau)
     elif sphere.is_homotopy_sphere:
@@ -75,13 +69,7 @@ def classify_link(
         stability=stability,
         signature=signature,
         diffeo=diffeo,
-        tau_method=method,
-        elapsed_s=time.perf_counter() - start,
     )
-
-
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def report_to_dict(r: LinkReport) -> dict:
@@ -100,7 +88,7 @@ def report_to_dict(r: LinkReport) -> dict:
             "ev_component": [g.vertices[i] for i in g.ev_component],
         },
         "stability": {
-            "sum_recip": _frac(r.stability.sum_recip),
+            "sum_recip": to_jsonable(r.stability.sum_recip),
             "log_fano": r.stability.log_fano,
             "k_semistable": r.stability.k_semistable,
             "k_polystable": r.stability.k_polystable,
@@ -111,7 +99,6 @@ def report_to_dict(r: LinkReport) -> dict:
             "contact": r.stability.contact,
         },
         "se_metric": r.stability.se_metric_exists,
-        "elapsed_s": round(r.elapsed_s, 6),
     }
     if r.signature is not None:
         out["tau"] = r.signature.tau

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from bplinks.arith import bernoulli_even, bounded_compositions, bp_order
+from bplinks.arith import bernoulli_even, bounded_compositions, bp_order, to_jsonable
 
 
 def test_bernoulli_small_values():
@@ -66,3 +66,14 @@ def test_bounded_compositions_stars_and_bars(sigma, parts):
 def test_bounded_compositions_rejects_bad_bounds():
     with pytest.raises(ValueError):
         bounded_compositions(3, 2, 5, 4)
+
+
+def test_to_jsonable_writes_fractions_as_num_den():
+    value = {"x": Fraction(-6, 4), "pair": (Fraction(3), 2), "rows": [{"k": True}], "s": "7"}
+    assert to_jsonable(value) == {
+        "x": "-3/2",
+        "pair": ["3/1", 2],
+        "rows": [{"k": True}],
+        "s": "7",
+    }
+    assert to_jsonable(5) == 5

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +237,42 @@ def test_scan_refuses_cache_with_undecodable_bytes(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_scan_refuses_cache_of_another_version(capsys, tmp_path):
+    # its records would never be read, and the scan would append to it forever
+    cache = tmp_path / "scan.cache"
+    cache.write_text('{"version": 0}\n')
+    for _ in range(2):
+        code, lines, err = run_cli(
+            capsys, "scan", "--n", "4", "--amax", "5", "--cache", str(cache)
+        )
+        assert code == 1 and lines == []
+        assert "version 0" in err and "version 1" in err
+    assert cache.read_text() == '{"version": 0}\n'
+
+
+@pytest.mark.parametrize("field", ["plus", "minus", "boundary", "tau", "method"])
+def test_scan_refuses_cached_record_missing_a_field(capsys, tmp_path, field):
+    cache = tmp_path / "scan.cache"
+    run_cli(capsys, "scan", "--n", "4", "--amax", "4", "--cache", str(cache))
+    lines = cache.read_text().splitlines()
+    rec = json.loads(lines[1])
+    del rec[field]
+    lines[1] = json.dumps(rec)
+    cache.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "scan", "--n", "4", "--amax", "4", "--cache", str(cache))
+    assert code == 1 and out == []
+    assert "line 2" in err and "corrupt" in err
+
+    # on an unterminated last line the same record is a torn write: recomputed
+    cache.write_text("\n".join(lines[:1] + lines[2:] + lines[1:2]))
+    code, out, err = run_cli(capsys, "scan", "--n", "4", "--amax", "4", "--cache", str(cache))
+    assert code == 0 and len(out) == len(lines) - 1
+    assert "torn" in err
+    reloaded = cli.ScanCache(cache)  # the recomputed record is whole
+    reloaded.close()
+    assert len(reloaded.entries) == len(lines) - 1
+
+
 def test_scan_refuses_missing_header(capsys, tmp_path):
     cache = tmp_path / "scan.cache"
     cache.write_text('{"no_version": true}\n')
@@ -353,3 +391,57 @@ def test_scan_cache_completes_a_last_line_missing_its_newline(capsys, tmp_path):
     code, _, err = run_cli(capsys, "scan", "--n", "4", "--amax", "5", "--cache", str(cache))
     assert code == 0 and "torn" not in err
     assert all(json.loads(line) for line in cache.read_text().splitlines())
+
+
+# SHA-256 of the whole stdout of each CLI example in README, run in order
+# in one fresh directory.  Every digest but family odd's was recorded before
+# elapsed_s left the records, with that field dropped; family odd raised a
+# TypeError until its interval was encoded.
+README_DIGESTS = {
+    "bplinks classify 2 2 2 3 5":
+        "aab62debe1af5e8b3fbaf5eab810d293c19b0feab8a703a16cf5b0e1438eac99",
+    "bplinks tau --method kernel 2 2 338 339 341":
+        "50541c2d6598de4622988fb68e713a1dd3b550b0ece1f3061b1ab546a6afd383",
+    "bplinks bp-order --m 3":
+        "c032220254cccab1c45f6f95a9870ec2431f6a9853662c422204c71eea3401a8",
+    "bplinks qpfit --m 2 --k 1 --l 3 --samples 7 --verify 3":
+        "4735f3e2b437a31430134489bb3b2fd7b99eafa9463afdc748d0e1e27f0dc495",
+    "bplinks qpfit --m 3 --k 1 --l 3 --samples 10 --verify 3":
+        "1861f24afa0855164d993d4b536355a01ab6d3533ba9b06811a70ab55bc409ec",
+    "bplinks family odd --m 2 --pn 101":
+        "4d9d2014e8233d5eff62ae68729780f6d1f51a095c83a354bc40cc93f25511b2",
+    "bplinks family exotic --m 2 --k 1 --l 3 --q 56":
+        "4374065547464c02ccce47731975deac10e1ee14c11d3a7f103ff0f5c279075e",
+    "bplinks family ref --m 2 --k 1 --sign -1":
+        "35af0162c762e5d4dc83f229025bca34a6d52e6f244ffff449b9860d514e1bc5",
+    "bplinks moduli --n 6 --p 8 --l 3":
+        "e4b6d16a21d9c9db53bbcd5928bff4d49c2dde7e1f6df0c082ca973d24bc7d0e",
+    "bplinks euler --n 6 --p 8 --l 3":
+        "e31de6400b1c9b221cf10053dcf8fdfd55a7d77d1eb8154965c372e4ff6bd7bf",
+    "bplinks scan --n 4 --amax 6 --filter sphere --cache scan.cache --paranoid":
+        "855b8df6620d5f94021c0afdce92d3ff05415caa37a7a06aff9ddbd0a1818c32",
+}
+
+
+def _readme_examples():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = text.split("```sh\n")[1:]
+    return [
+        line
+        for block in blocks
+        for line in block.split("```")[0].splitlines()
+        if line.startswith("bplinks ")
+    ]
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BPLINKS_TAU_BUDGET", raising=False)
+    examples = _readme_examples()
+    assert examples == list(README_DIGESTS)
+    for line in examples:
+        code = main(shlex.split(line)[1:])
+        out = capsys.readouterr().out
+        assert code == 0, line
+        assert all(json.loads(rec) for rec in out.splitlines()), line
+        assert hashlib.sha256(out.encode()).hexdigest() == README_DIGESTS[line], line
