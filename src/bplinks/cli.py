@@ -1,12 +1,13 @@
 """Command-line surface: JSON-lines output on stdout, diagnostics on
 stderr.
 
-Exit codes: 0 success, 1 refusal (budget, missing primes, regime), 2 usage
-error, 3 internal invariant violation.  The signature budget (points for
-tau_brute, residue-DP steps for tau_kernel) is set by --budget or the
-BPLINKS_TAU_BUDGET environment variable and bounds both methods;
-tau_kernel's closed form for (2, 2, a, b, c) with a, b, c pairwise coprime
-takes no DP steps, so the budget never refuses it.
+Exit codes: 0 success, 1 refusal (budget, missing primes, regime, an
+unusable or corrupt cache), 2 usage error, 3 internal invariant violation.
+The signature budget (points for tau_brute, residue-DP steps for
+tau_kernel) is set by --budget or the BPLINKS_TAU_BUDGET environment
+variable and bounds both methods; tau_kernel's closed form for
+(2, 2, a, b, c) with a, b, c pairwise coprime takes no DP steps, so the
+budget never refuses it.
 """
 
 from __future__ import annotations
@@ -52,8 +53,11 @@ class ScanCache:
         self.path = Path(path)
         self.entries: dict[tuple, SignatureResult] = {}
         fresh = not self.path.exists()
-        unterminated = not fresh and self._load()
-        self._fh = open(self.path, "a")
+        try:
+            unterminated = not fresh and self._load()
+            self._fh = open(self.path, "a")
+        except OSError as err:
+            raise RefusalError(f"cannot use cache {self.path}: {err.strerror}") from err
         if fresh:
             self._append({"version": CACHE_VERSION})
         elif unterminated:  # a whole last record short of its newline
@@ -170,8 +174,6 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_qpfit(args) -> int:
-    if args.family != "exotic":
-        raise RefusalError(f"unsupported family for qpfit: {args.family}")
     fit = fit_exotic_tau(
         m=args.m, k=args.k, l=args.l, samples=args.samples, verify=args.verify
     )
@@ -312,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=_cmd_tau)
 
-    p = sub.add_parser("qpfit", help="fit the signature quasi-polynomial of a family")
-    p.add_argument("--family", default="exotic", choices=["exotic"])
+    p = sub.add_parser("qpfit", help="fit the signature quasi-polynomial of the exotic family")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)

@@ -14,10 +14,10 @@ symmetries keep that small.  Flipping every coordinate
 counts are the same or have plus and minus swapped, so one window count
 serves both.  Below an edge Bx + Ay <= N with N <= AB the box's upper
 bounds cannot bind, so each edge is one floor sum (_open_box_below), and
-the same flip covers N > AB.  The general counter _lattice_2d (O(log),
-upper bounds by inclusion-exclusion) serves the Fraction front ends
-(strip_count_2d, count_box), which turn a rational threshold into an
-integer one exactly, so there is no epsilon anywhere.  Points whose
+the same flip covers N > AB.  The same count serves the Fraction front
+end strip_count_2d, which turns its rational threshold into an integer one
+exactly (so there is no epsilon anywhere) and adds the closed lower edges
+x = 0 and y = 0 in closed form.  Points whose
 coordinate sum is an integer fall on a window boundary: they are never
 silently dropped but counted separately (they cannot occur for homotopy
 spheres, so a nonzero boundary count flags a non-sphere input).
@@ -80,7 +80,7 @@ class SignatureResult:
 
 
 # ---------------------------------------------------------------------------
-# 2D kernels: one integer counter, with Fraction front ends
+# 2D kernels: one integer counter, with a Fraction front end
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -111,25 +111,6 @@ def _triangle(A: int, B: int, N: int) -> int:
     return _floor_sum(K + 1, A, B, N - B * K) + K + 1
 
 
-def _lattice_2d(A: int, B: int, N: int, x0: int, x1, y0: int, y1) -> int:
-    """#{x0 <= x <= x1, y0 <= y <= y1 : Bx + Ay <= N} for A, B >= 1; x1 or
-    y1 None leaves that axis unbounded above.  Upper bounds enter by
-    inclusion-exclusion on the quadrant count, so the cost is O(log)."""
-    if (x1 is not None and x1 < x0) or (y1 is not None and y1 < y0):
-        return 0
-    N -= B * x0 + A * y0
-    cut_x = None if x1 is None else B * (x1 - x0 + 1)
-    cut_y = None if y1 is None else A * (y1 - y0 + 1)
-    total = _triangle(A, B, N)
-    if cut_x is not None:
-        total -= _triangle(A, B, N - cut_x)
-    if cut_y is not None:
-        total -= _triangle(A, B, N - cut_y)
-        if cut_x is not None:
-            total += _triangle(A, B, N - cut_x - cut_y)
-    return total
-
-
 def _open_box_below(A: int, B: int, N: int) -> int:
     """#{0 < x < A, 0 < y < B : Bx + Ay <= N} by one floor sum.  For
     N <= AB the upper bounds cannot bind (x >= A alone gives Bx + Ay > AB),
@@ -143,21 +124,23 @@ def _open_box_below(A: int, B: int, N: int) -> int:
 
 def strip_count_2d(A: int, B: int, u, lower_open=(True, True)) -> int:
     """#{(x, y) : x/A + y/B < u} with x < A, y < B and lower bounds open
-    (x > 0) or closed (x >= 0) per flag.  O(log) integer floor-sum count."""
+    (x > 0) or closed (x >= 0) per flag.  O(log): the open box by one
+    floor sum (_open_box_below), a closed lower bound adding its edge."""
     if A < 2 or B < 2:
         raise ValueError("strip_count_2d requires A, B >= 2")
-    return _count_2d(A, B, u, lower_open[0], lower_open[1], True, True, True)
-
-
-def _count_2d(A, B, u, x_open, y_open, x_bounded, y_bounded, strict) -> int:
-    """Generic 2D count: x/A + y/B < u (strict) or <= u, with per-axis
-    open/closed lower bounds and optional x < A, y < B upper bounds."""
     u = Fraction(u)
-    num = u.numerator * A * B  # x/A + y/B <= u  <=>  Bx + Ay <= num / den
-    N = (num - 1) // u.denominator if strict else num // u.denominator
-    x1 = A - 1 if x_bounded else None
-    y1 = B - 1 if y_bounded else None
-    return _lattice_2d(A, B, N, int(x_open), x1, int(y_open), y1)
+    N = (u.numerator * A * B - 1) // u.denominator  # x/A + y/B < u  <=>  Bx + Ay <= N
+    if N < 0:
+        return 0
+    x_open, y_open = lower_open
+    total = _open_box_below(A, B, N)
+    if not x_open:
+        total += min(B - 1, N // A)  # the column x = 0, 0 < y < B
+    if not y_open:
+        total += min(A - 1, N // B)  # the row y = 0, 0 < x < A
+    if not (x_open or y_open):
+        total += 1  # the origin
+    return total
 
 
 def _count_eq_2d(A: int, B: int, M: int) -> int:
@@ -442,12 +425,18 @@ def _coord_range_size(spec: CountSpec, i: int) -> int:
     return max(0, hi - lo + 1)
 
 
-def _count_enumerate(spec: CountSpec, budget: int) -> int:
+def count_box(spec: CountSpec, budget: int | None = None) -> int:
+    """Exact count for a CountSpec by visiting every point, one Fraction
+    sum per coordinate: the independent oracle for delta_closed and
+    beta_via_gamma.  The points are estimated first (the product of the
+    coordinate ranges) and refused beyond the budget (default 10^8, env
+    override BPLINKS_TAU_BUDGET)."""
     estimate = prod(_coord_range_size(spec, i) for i in range(len(spec.denoms)))
-    if estimate > budget:
+    limit = _resolve_budget(budget)
+    if estimate > limit:
         raise RefusalError(
-            f"count_box enumeration would visit ~{estimate} points "
-            f"(budget {budget}); use the kernel method"
+            f"count_box would visit ~{estimate} points (budget {limit}); "
+            "raise the budget or BPLINKS_TAU_BUDGET"
         )
     k = len(spec.denoms)
     total = 0
@@ -470,56 +459,6 @@ def _count_enumerate(spec: CountSpec, budget: int) -> int:
 
     rec(0, spec.threshold)
     return total
-
-
-def _count_kernel(spec: CountSpec, budget: int) -> int:
-    flags = list(zip(spec.denoms, spec.lower_open, spec.upper_bounded))
-    order = sorted(range(len(flags)), key=flags.__getitem__)
-    # each outer point is one leaf, one O(log) 2D count
-    estimate = prod(_coord_range_size(spec, i) for i in order[:-2])
-    if estimate > budget:
-        raise RefusalError(
-            f"count_box kernel would visit ~{estimate} outer points "
-            f"(budget {budget}); raise the budget or BPLINKS_TAU_BUDGET"
-        )
-    items = [flags[i] for i in order]
-    outer = items[:-2]
-    (A, ax_open, ax_bounded), (B, ay_open, ay_bounded) = items[-2], items[-1]
-    strict = spec.strict_upper
-    total = 0
-
-    def rec(i: int, rem: Fraction):
-        nonlocal total
-        if i == len(outer):
-            total += _count_2d(A, B, rem, ax_open, ay_open, ax_bounded, ay_bounded, strict)
-            return
-        den, lopen, bounded = outer[i]
-        x = 1 if lopen else 0
-        while not (bounded and x >= den):
-            f = Fraction(x, den)
-            # inner coords contribute >= 0: once f exceeds the budget (or
-            # meets it in the strict case) no larger x can contribute
-            if f > rem or (strict and f == rem):
-                break
-            rec(i + 1, rem - f)
-            x += 1
-
-    rec(0, spec.threshold)
-    return total
-
-
-def count_box(spec: CountSpec, method: str = "kernel", budget: int | None = None) -> int:
-    """Exact count for a CountSpec.  method "kernel" folds the two largest
-    denominators into an O(log) integer 2D count per outer point;
-    "enumerate" visits every point and exists as the independent oracle.
-    Both estimate their work first (outer points for the kernel, all points
-    for enumeration) and refuse beyond the budget (default 10^8, env
-    override BPLINKS_TAU_BUDGET)."""
-    if method == "kernel":
-        return _count_kernel(spec, _resolve_budget(budget))
-    if method == "enumerate":
-        return _count_enumerate(spec, _resolve_budget(budget))
-    raise ValueError(f"unknown count_box method {method!r}")
 
 
 # ---------------------------------------------------------------------------

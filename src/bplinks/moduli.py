@@ -13,9 +13,10 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Optional, Sequence
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, RefusalError
 from .stability import k_stability
 from .families import exotic_vector
+from .lattice import _resolve_budget
 from .quasipoly import _poly_eval
 
 __all__ = [
@@ -83,11 +84,29 @@ def moduli_dimension(n: int, p: int, l: int) -> ModuliDimension:
     """Lower bound for the dimension of the Sasaki-Einstein family on the
     exotic member: h^0(O(d)) - sum_i h^0(O(d_i)), computed by DP over the
     Reeb weights and independently by the closed form; a mismatch is
-    reported, never averaged away."""
+    reported, never averaged away.
+
+    The closed form holds only while the exponents p, p+1, p+l are distinct
+    from 2 and from each other, so p = 2 or l = 1 is refused.  The DP's
+    table steps are estimated first and refused beyond the package budget
+    (default 10^8, env override BPLINKS_TAU_BUDGET)."""
     _check_family_shape(n, p, l)
     if n < 6:
         raise ValueError("moduli_dimension requires n >= 6")
+    if p < 4 or l < 2:
+        raise RefusalError(
+            f"(p, l) = ({p}, {l}) is outside the closed form's regime p >= 4, l >= 2 "
+            "(an exponent repeats)"
+        )
     weights, d = exotic_weights(n, p, l)
+    # one addition per table entry at or past each weight, per DP call
+    estimate = sum(max(0, deg - w + 1) for deg in (d, *weights) for w in weights)
+    limit = _resolve_budget(None)
+    if estimate > limit:
+        raise RefusalError(
+            f"moduli_dimension would take ~{estimate} table steps (budget {limit}); "
+            "raise BPLINKS_TAU_BUDGET"
+        )
     h0_d = weighted_monomial_count(weights, d)
     h0_sum = sum(weighted_monomial_count(weights, w) for w in weights)
     closed = comb(p + n - 4, n - 4) - (n - 3) ** 2 - 1

@@ -130,12 +130,14 @@ def test_criterion_07_counting_lemmas():
         return total
 
     def oracle_strip(A, B, u):
+        # x/A + y/B < u, compared in integers: (Bx + Ay) u.den < u.num AB
         u = Fraction(u)
+        cap = u.numerator * A * B
         return sum(
             1
             for x in range(1, A)
             for y in range(1, B)
-            if Fraction(x, A) + Fraction(y, B) < u
+            if (B * x + A * y) * u.denominator < cap
         )
 
     def body():
@@ -154,12 +156,12 @@ def test_criterion_07_counting_lemmas():
             p, l = rng.randint(1, 6), rng.randint(0, 4)
             n, eta = rng.randint(2, 4), rng.randint(0, 2)
             spec = count_spec((p,) * (n - 1) + (p + l,), eta)
-            assert delta_closed(p, l, eta, n) == count_box(spec, "enumerate"), (p, l, eta, n)
+            assert delta_closed(p, l, eta, n) == count_box(spec), (p, l, eta, n)
         for _ in range(200):
             p, l = rng.randint(1, 6), rng.randint(2, 5)
             n, eta = rng.randint(4, 5), rng.randint(0, 2)
             spec = count_spec((p,) * (n - 3) + (p + 1, p + l), eta)
-            assert beta_via_gamma(p, l, eta, n) == count_box(spec, "enumerate"), (p, l, eta, n)
+            assert beta_via_gamma(p, l, eta, n) == count_box(spec), (p, l, eta, n)
 
     _check(7, "gamma/delta/beta counters = enumeration on 200 instances each", 600, body)
 

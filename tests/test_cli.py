@@ -101,6 +101,31 @@ def test_moduli_and_euler(capsys):
     assert [s["frequency"] for s in out["strata"]] == [1, 3, 4, 8, 10, 24, 30, 80, 336]
 
 
+def test_moduli_refuses_outside_the_closed_form_regime(capsys):
+    for p, l in [(2, 1), (4, 1), (2, 3)]:
+        code, lines, err = run_cli(capsys, "moduli", "--n", "6", "--p", str(p), "--l", str(l))
+        assert code == 1 and lines == []
+        assert len(err.splitlines()) == 1 and "p >= 4, l >= 2" in err
+    code, lines, _ = run_cli(capsys, "moduli", "--n", "6", "--p", "8", "--l", "3")
+    assert code == 0 and lines == [
+        {
+            "n": 6, "p": 8, "l": 3, "h0_d": 80, "h0_weights_sum": 45,
+            "dimension": 35, "closed_form": 35, "agree": True,
+        }
+    ]
+
+
+def test_moduli_refuses_past_the_budget_quickly(capsys, monkeypatch):
+    # d = 10000 * 10001 * 10003, about 10^12 table entries per DP call
+    monkeypatch.delenv("BPLINKS_TAU_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, lines, err = run_cli(capsys, "moduli", "--n", "6", "--p", "10000", "--l", "3")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and lines == []
+    assert len(err.splitlines()) == 1
+    assert "~11002899990030 " in err and "(budget 100000000)" in err
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -271,6 +296,16 @@ def test_scan_refuses_cached_record_missing_a_field(capsys, tmp_path, field):
     reloaded = cli.ScanCache(cache)  # the recomputed record is whole
     reloaded.close()
     assert len(reloaded.entries) == len(lines) - 1
+
+
+def test_scan_refuses_unusable_cache_path(capsys, tmp_path):
+    for cache in (tmp_path / "missing" / "scan.cache", tmp_path):
+        code, lines, err = run_cli(
+            capsys, "scan", "--n", "4", "--amax", "5", "--cache", str(cache)
+        )
+        assert code == 1 and lines == []
+        assert len(err.splitlines()) == 1 and str(cache) in err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_scan_refuses_missing_header(capsys, tmp_path):

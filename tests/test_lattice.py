@@ -2,7 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from bplinks.errors import RefusalError
 from bplinks.lattice import (
-    _count_2d,
     _count_eq_2d,
     _dedekind_d,
     _open_box_below,
@@ -102,8 +101,13 @@ def oracle_on_line(A, B, M):
 
 
 def oracle_box(denoms, threshold, strict, lower_open, upper_bounded):
-    """Full enumeration of a CountSpec region, one rational sum per point."""
+    """Full enumeration of a CountSpec region, one exact comparison per
+    point in integers: over D = lcm(denoms) and t = threshold,
+    sum x_i/d_i < t reads sum x_i (D/d_i) t.den < t.num D."""
     threshold = Fraction(threshold)
+    D = lcm(*denoms)
+    weights = [D // d * threshold.denominator for d in denoms]
+    cap = threshold.numerator * D
     axes = []
     for d, lo, ub in zip(denoms, lower_open, upper_bounded):
         start = 1 if lo else 0
@@ -111,8 +115,8 @@ def oracle_box(denoms, threshold, strict, lower_open, upper_bounded):
         axes.append(range(start, stop))
     total = 0
     for point in itertools.product(*axes):
-        s = sum(Fraction(x, d) for x, d in zip(point, denoms))
-        if s < threshold or (not strict and s == threshold):
+        s = sum(x * w for x, w in zip(point, weights))
+        if s < cap or (not strict and s == cap):
             total += 1
     return total
 
@@ -150,24 +154,12 @@ thresholds = st.integers(1, 40).flatmap(
 )
 @example(A=999_983, B=1_000_003, u=Fraction(1, 7), lower_open=(True, True))
 @example(A=1_000_000, B=999_999, u=Fraction(5, 3), lower_open=(False, True))
+@example(A=999_983, B=1_000_003, u=Fraction(1, 7), lower_open=(False, False))
+@example(A=1_000_000, B=999_999, u=Fraction(7, 3), lower_open=(False, False))  # N > AB
+@example(A=999_999, B=1_000_002, u=Fraction(5, 2), lower_open=(True, False))
 def test_strip_count_matches_row_oracle(A, B, u, lower_open):
     want = oracle_rows(A, B, u, *lower_open, True, True, True)
     assert strip_count_2d(A, B, u, lower_open) == want
-
-
-@settings(max_examples=400, deadline=None)
-@given(
-    A=st.integers(1, 60),
-    B=st.integers(1, 60),
-    u=thresholds,
-    flags=st.tuples(*[st.booleans()] * 5),
-)
-@example(A=999_983, B=1_000_003, u=Fraction(1, 9), flags=(False, False, False, False, False))
-@example(A=13, B=999_983, u=Fraction(7, 3), flags=(True, False, False, True, True))
-def test_count_2d_matches_row_oracle(A, B, u, flags):
-    x_open, y_open, x_bounded, y_bounded, strict = flags
-    want = oracle_rows(A, B, u, x_open, y_open, x_bounded, y_bounded, strict)
-    assert _count_2d(A, B, u, x_open, y_open, x_bounded, y_bounded, strict) == want
 
 
 @settings(max_examples=400, deadline=None)
@@ -412,16 +404,14 @@ def test_sphere_signatures_are_boundary_free_and_divisible():
 
 def test_count_box_examples():
     # beta_1 for denominators (4,5,7), all lower-closed, unbounded
-    spec = count_spec((4, 5, 7), 1)
-    assert count_box(spec, method="kernel") == 52
-    assert count_box(spec, method="enumerate") == 52
+    assert count_box(count_spec((4, 5, 7), 1)) == 52
 
     # delta_1 shapes
     assert count_box(count_spec((3, 4), 1)) == 11
     assert count_box(count_spec((2, 2, 3), 1)) == 11
 
 
-def test_count_box_methods_agree_on_randoms():
+def test_count_box_matches_oracle_on_randoms():
     rng = random.Random(314)
     for _ in range(120):
         k = rng.randint(2, 4)
@@ -431,29 +421,27 @@ def test_count_box_methods_agree_on_randoms():
         lower_open = tuple(rng.random() < 0.5 for _ in range(k))
         upper_bounded = tuple(rng.random() < 0.5 for _ in range(k))
         spec = count_spec(denoms, threshold, strict, lower_open, upper_bounded)
-        kern = count_box(spec, method="kernel")
-        enum = count_box(spec, method="enumerate")
         want = oracle_box(denoms, threshold, strict, lower_open, upper_bounded)
-        assert kern == enum == want, spec
+        assert count_box(spec) == want, spec
 
 
 def test_count_box_enumeration_budget_refusal():
     spec = count_spec((100, 100, 100), 3)
     with pytest.raises(RefusalError):
-        count_box(spec, method="enumerate", budget=1000)
+        count_box(spec, budget=1000)
+    # 3 * 4 * 6 points; the estimate is exact on a bounded open box
+    spec = count_spec((4, 5, 7), 3, lower_open=True, upper_bounded=True)
+    with pytest.raises(RefusalError, match=r"~72 .*budget 71\)"):
+        count_box(spec, budget=71)
+    assert count_box(spec, budget=72) == 72
 
 
-def test_count_box_kernel_budget_refusal(monkeypatch):
-    # the estimate counts only the outer coordinates: 4 * 5 outer points
-    spec = count_spec((3, 4, 100, 100), 1)
-    with pytest.raises(RefusalError, match=r"~20 .*budget 19\)"):
-        count_box(spec, budget=19)
-    assert count_box(spec, budget=20) == count_box(spec, method="enumerate")
-    # (3*10^6 + 1)(3*10^6 + 4) outer points over the two smallest denominators
+def test_count_box_refuses_a_huge_box_quickly(monkeypatch):
+    # the estimate is the product of the four coordinate ranges, ~8 * 10^25
     monkeypatch.delenv("BPLINKS_TAU_BUDGET", raising=False)
     spec = count_spec((10**6, 10**6 + 1, 10**6 + 3, 10**6 + 7), 3)
     start = time.perf_counter()
-    with pytest.raises(RefusalError, match=r"~9000015000004 .*budget 100000000\)"):
+    with pytest.raises(RefusalError, match=r"~81000999003456003684000880 .*budget 100000000\)"):
         count_box(spec)
     assert time.perf_counter() - start < 1
 
@@ -527,7 +515,7 @@ def test_delta_closed_matches_count_box():
         n = rng.randint(2, 4)
         eta = rng.randint(0, 2)
         spec = count_spec((p,) * (n - 1) + (p + l,), eta)
-        assert delta_closed(p, l, eta, n) == count_box(spec, method="enumerate"), (
+        assert delta_closed(p, l, eta, n) == count_box(spec), (
             p,
             l,
             eta,
@@ -550,7 +538,7 @@ def test_beta_via_gamma_matches_count_box():
         n = rng.randint(4, 5)
         eta = rng.randint(0, 2)
         spec = count_spec((p,) * (n - 3) + (p + 1, p + l), eta)
-        assert beta_via_gamma(p, l, eta, n) == count_box(spec, method="enumerate"), (
+        assert beta_via_gamma(p, l, eta, n) == count_box(spec), (
             p,
             l,
             eta,
@@ -577,7 +565,7 @@ def test_parity_window_identity():
             if eta < 0:
                 return 0
             spec = count_spec(b, eta, strict_upper=False, lower_open=True, upper_bounded=True)
-            return count_box(spec, method="enumerate")
+            return count_box(spec)
 
         identity = sum(
             (-1) ** eta * (alpha(eta) - alpha(eta - 1)) for eta in range(1, n)

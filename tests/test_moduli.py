@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from bplinks.errors import InvariantViolation
+from bplinks.errors import InvariantViolation, RefusalError
 from bplinks.moduli import (
     exotic_weights,
     maslov_index,
@@ -72,6 +72,25 @@ def test_moduli_dimension_rejects_bad_shape():
         moduli_dimension(6, 8, 2)  # gcd(p, l) = 2
     with pytest.raises(ValueError):
         moduli_dimension(4, 8, 3)  # n too small
+
+
+@pytest.mark.parametrize("n, p, l", [(6, 2, 1), (6, 4, 1), (6, 2, 3), (8, 8, 1)])
+def test_moduli_dimension_refuses_repeated_exponents(n, p, l):
+    # p = 2 repeats the leading 2s and l = 1 gives p + 1 = p + l; the DP
+    # then disagrees with the closed form (41 against 35 at (6, 8, 1))
+    with pytest.raises(RefusalError, match=r"p >= 4, l >= 2"):
+        moduli_dimension(n, p, l)
+
+
+def test_moduli_dimension_budget(monkeypatch):
+    # (6, 8, 3): d = 792, weights (396, 396, 99, 99, 99, 88, 72); the DP at
+    # degree d adds 2 * 397 + 3 * 694 + 705 + 721 = 4302, the seven weight
+    # degrees 2 * 1530 + 3 * 43 + 18 + 1 = 3208
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "7509")
+    with pytest.raises(RefusalError, match=r"~7510 .*budget 7509\)"):
+        moduli_dimension(6, 8, 3)
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "7510")
+    assert moduli_dimension(6, 8, 3).dimension == 35
 
 
 def test_maslov_index_examples():
