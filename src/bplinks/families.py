@@ -16,7 +16,7 @@ from typing import Optional
 from .arith import bp_order, to_jsonable
 from .errors import InvariantViolation, NotQuasiPolynomialError, RefusalError
 from .lattice import tau_kernel
-from .primes import is_prime, primes_in_interval
+from .primes import is_prime
 from .quasipoly import QuasiPolynomial, qp_fit, qp_verify
 from .stability import k_stability
 from .topology import COND1, COND2, classify_sphere, exponent_vector
@@ -59,13 +59,19 @@ def gen_odd_dim(m: int, p_n: int) -> FamilySpec:
     n = 2 * m + 1
     lo = Fraction((n - 2) * p_n, 2 * (n - 1))
     hi = Fraction(p_n, 2)
-    primes = primes_in_interval(lo, hi)
-    if len(primes) < n - 2:
+    # scan down from the largest integer below hi: the largest primes give
+    # the slackest inequality, and the scan stops after the n-2 it needs
+    chosen = []
+    cand = (p_n - 1) // 2
+    while cand > lo and len(chosen) < n - 2:
+        if is_prime(cand):
+            chosen.insert(0, cand)
+        cand -= 1
+    if len(chosen) < n - 2:
         raise RefusalError(
-            f"only {len(primes)} primes in the open interval ({lo}, {hi}); "
+            f"only {len(chosen)} primes in the open interval ({lo}, {hi}); "
             f"need {n - 2}"
         )
-    chosen = primes[-(n - 2):]  # largest primes give the slackest inequality
     vector = exponent_vector([2, 2] + [2 * p for p in chosen] + [p_n])
 
     stab = k_stability(vector)
@@ -130,9 +136,17 @@ def gen_standard(m: int, k: int) -> FamilySpec:
 
 
 def exotic_vector(n: int, p: int, l: int) -> tuple:
-    """The exotic-family exponent vector (2, 2, p, ..., p, p+1, p+l)."""
+    """The exotic-family exponent vector (2, 2, p, ..., p, p+1, p+l), and
+    the one check of the family's shape: n even and >= 4, l >= 1, p even,
+    gcd(p, l) = 1 and gcd(p+1, l-1) = 1 (l = 1 fails: p + 1 repeats).  Then
+    d = lcm = p(p+1)(p+l).  Every failure raises ValueError."""
     if n < 4 or n % 2 != 0:
         raise ValueError("n must be even and >= 4")
+    if l < 1 or p % 2 != 0 or gcd(p, l) != 1 or gcd(p + 1, l - 1) != 1:
+        raise ValueError(
+            f"(p, l) = ({p}, {l}) violates the family shape: l >= 1, p even, "
+            "gcd(p, l) = 1, gcd(p+1, l-1) = 1"
+        )
     return exponent_vector([2, 2] + [p] * (n - 3) + [p + 1, p + l])
 
 
@@ -148,8 +162,6 @@ def gen_exotic(m: int, k: int, l: int, q: int) -> FamilySpec:
         raise ValueError(f"l must be 6k-3 or 6k-1 for k={k}; got {l}")
     n = 2 * m
     p = q * l * (l - 1) + 2
-    if p % 2 != 0 or gcd(p, l) != 1 or gcd(p + 1, l - 1) != 1:
-        raise InvariantViolation(f"coprimality failed for p={p}, l={l}")
     vector = exotic_vector(n, p, l)
     stab = k_stability(vector)
     if not stab.k_polystable:

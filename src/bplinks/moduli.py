@@ -1,5 +1,5 @@
-"""Moduli-dimension counting via weighted monomials and the mean Euler
-characteristic table for the exotic family.
+"""Moduli dimension by one weighted-monomial DP, and the mean Euler
+characteristic table, for the exotic family; exotic_vector checks its shape.
 
 The circle-equivariant Euler characteristic of the principal p-stratum is
 an external input (only its leading term p^{n-4} is pinned down here), so
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from typing import Optional, Sequence
 
 from .errors import InvariantViolation, RefusalError
@@ -21,7 +21,6 @@ from .quasipoly import _poly_eval
 
 __all__ = [
     "weighted_monomial_count",
-    "exotic_weights",
     "ModuliDimension",
     "moduli_dimension",
     "maslov_index",
@@ -31,38 +30,24 @@ __all__ = [
 ]
 
 
+def _monomial_table(weights: Sequence[int], degree: int) -> list:
+    """table[k] = #{e in Z_{>=0}^len(weights) : sum w_i e_i = k} for every
+    k <= degree, by one coin-counting DP."""
+    table = [0] * (degree + 1)
+    table[0] = 1
+    for w in weights:
+        for deg in range(w, degree + 1):
+            table[deg] += table[deg - w]
+    return table
+
+
 def weighted_monomial_count(weights: Sequence[int], degree: int) -> int:
     """#{e in Z_{>=0}^k : sum w_i e_i = degree} by coin-counting DP."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if any(w < 1 for w in weights):
         raise ValueError("weights must be positive")
-    table = [0] * (degree + 1)
-    table[0] = 1
-    for w in weights:
-        for deg in range(w, degree + 1):
-            table[deg] += table[deg - w]
-    return table[degree]
-
-
-def _check_family_shape(n: int, p: int, l: int) -> None:
-    if n < 4 or n % 2 != 0:
-        raise ValueError("n must be even and >= 4")
-    if p < 2 or l < 1:
-        raise ValueError("need p >= 2 and l >= 1")
-    # l = 1 leaves l - 1 = 0, making the second coprimality vacuous
-    if p % 2 != 0 or gcd(p, l) != 1 or (l > 1 and gcd(p + 1, l - 1) != 1):
-        raise ValueError(
-            f"(p, l) = ({p}, {l}) violates the family shape: p even, "
-            "gcd(p, l) = 1, gcd(p+1, l-1) = 1"
-        )
-
-
-def exotic_weights(n: int, p: int, l: int):
-    """Reeb weights (d_i) and total degree d for (2,2,p,...,p,p+1,p+l)."""
-    d = p * (p + 1) * (p + l)
-    weights = (d // 2, d // 2) + (d // p,) * (n - 3) + (d // (p + 1), d // (p + l))
-    return weights, d
+    return _monomial_table(weights, degree)[degree]
 
 
 @dataclass(frozen=True)
@@ -86,11 +71,12 @@ def moduli_dimension(n: int, p: int, l: int) -> ModuliDimension:
     Reeb weights and independently by the closed form; a mismatch is
     reported, never averaged away.
 
-    The closed form holds only while the exponents p, p+1, p+l are distinct
-    from 2 and from each other, so p = 2 or l = 1 is refused.  The DP's
-    table steps are estimated first and refused beyond the package budget
-    (default 10^8, env override BPLINKS_TAU_BUDGET)."""
-    _check_family_shape(n, p, l)
+    One coin DP over the weights d_i = d/a_i fills h^0 up to d = lcm(a),
+    so it holds every h^0(d_i) too.  The closed form needs p, p+1, p+l
+    distinct from 2 and from each other, so p < 4 or l < 2 is refused before
+    exotic_vector checks the shape.  The DP's table steps are estimated first
+    and refused beyond the package budget (default 10^8, env override
+    BPLINKS_TAU_BUDGET)."""
     if n < 6:
         raise ValueError("moduli_dimension requires n >= 6")
     if p < 4 or l < 2:
@@ -98,45 +84,41 @@ def moduli_dimension(n: int, p: int, l: int) -> ModuliDimension:
             f"(p, l) = ({p}, {l}) is outside the closed form's regime p >= 4, l >= 2 "
             "(an exponent repeats)"
         )
-    weights, d = exotic_weights(n, p, l)
-    # one addition per table entry at or past each weight, per DP call
-    estimate = sum(max(0, deg - w + 1) for deg in (d, *weights) for w in weights)
+    stab = k_stability(exotic_vector(n, p, l))
+    d, weights = stab.d, stab.weights
+    # one addition per table entry at or past each weight
+    estimate = sum(d - w + 1 for w in weights)
     limit = _resolve_budget(None)
     if estimate > limit:
         raise RefusalError(
             f"moduli_dimension would take ~{estimate} table steps (budget {limit}); "
             "raise BPLINKS_TAU_BUDGET"
         )
-    h0_d = weighted_monomial_count(weights, d)
-    h0_sum = sum(weighted_monomial_count(weights, w) for w in weights)
+    table = _monomial_table(weights, d)
+    h0_sum = sum(table[w] for w in weights)
     closed = comb(p + n - 4, n - 4) - (n - 3) ** 2 - 1
     return ModuliDimension(
         n=n,
         p=p,
         l=l,
-        h0_d=h0_d,
+        h0_d=table[d],
         h0_weights_sum=h0_sum,
-        dimension=h0_d - h0_sum,
+        dimension=table[d] - h0_sum,
         closed_form=closed,
     )
 
 
 def maslov_index(n: int, p: int, l: int) -> int:
-    """Maslov index of the principal orbit:
-    mu_P = 2((n-3)(p+1)(p+l) + p(2p+l+1)).  Cross-checked against twice the
-    index invariant whenever the family shape is non-degenerate."""
-    if n < 4 or n % 2 != 0:
-        raise ValueError("n must be even and >= 4")
-    if p < 1 or l < 0:
-        raise ValueError("need p >= 1 and l >= 0")
+    """Maslov index of the principal orbit, mu_P = 2((n-3)(p+1)(p+l) +
+    p(2p+l+1)), cross-checked against twice the index invariant on every
+    call; exotic_vector checks the shape."""
+    stab = k_stability(exotic_vector(n, p, l))
     mu = 2 * ((n - 3) * (p + 1) * (p + l) + p * (2 * p + l + 1))
-    if p % 2 == 0 and gcd(p, l) == 1 and gcd(p + 1, l - 1) == 1:
-        stab = k_stability(exotic_vector(n, p, l))
-        if mu != 2 * stab.index_invariant:
-            raise InvariantViolation(
-                f"Maslov index {mu} != 2 * I_a = {2 * stab.index_invariant} "
-                f"for (n, p, l) = ({n}, {p}, {l})"
-            )
+    if mu != 2 * stab.index_invariant:
+        raise InvariantViolation(
+            f"Maslov index {mu} != 2 * I_a = {2 * stab.index_invariant} "
+            f"for (n, p, l) = ({n}, {p}, {l})"
+        )
     return mu
 
 
@@ -172,7 +154,7 @@ def mean_euler(
     report.  chi_m = -(N1 + N2)/mu_P exactly as displayed in the two-line
     sum over strata.
     """
-    _check_family_shape(n, p, l)
+    mu = maslov_index(n, p, l)  # checks the family shape
     if chi_p is None:
         model = f"leading-term p^{n - 4} (approximate)"
         chi_p_value = Fraction(p) ** (n - 4)
@@ -202,7 +184,6 @@ def mean_euler(
             )
         strata.append(OrbitStratum(label=label, period=period, chi_s1=chi, frequency=freq))
 
-    mu = maslov_index(n, p, l)
     total = sum(s.chi_s1 * s.frequency for s in strata)
     chi_m = -total / mu
     return MeanEulerReport(

@@ -115,15 +115,22 @@ def test_moduli_refuses_outside_the_closed_form_regime(capsys):
     ]
 
 
+def test_euler_rejects_l_one(capsys):
+    # (2,2,8,8,8,9,9) is not a family member: the formula's 774 is not 2 * I_a
+    code, lines, err = run_cli(capsys, "euler", "--n", "6", "--p", "8", "--l", "1")
+    assert code == 2 and lines == []
+    assert len(err.splitlines()) == 1 and "family shape" in err
+
+
 def test_moduli_refuses_past_the_budget_quickly(capsys, monkeypatch):
-    # d = 10000 * 10001 * 10003, about 10^12 table entries per DP call
+    # d = 10000 * 10001 * 10003, about 10^12 table entries per weight
     monkeypatch.delenv("BPLINKS_TAU_BUDGET", raising=False)
     start = time.perf_counter()
     code, lines, err = run_cli(capsys, "moduli", "--n", "6", "--p", "10000", "--l", "3")
     assert time.perf_counter() - start < 1
     assert code == 1 and lines == []
     assert len(err.splitlines()) == 1
-    assert "~11002899990030 " in err and "(budget 100000000)" in err
+    assert "~6001900019998 " in err and "(budget 100000000)" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -43,8 +44,16 @@ def test_gen_odd_dim_examples():
 
 
 def test_gen_odd_dim_refuses_when_primes_run_out():
-    with pytest.raises(RefusalError):
+    with pytest.raises(RefusalError, match=r"only 1 primes .*need 3"):
         gen_odd_dim(2, 7)  # interval too narrow to hold three primes
+
+
+def test_gen_odd_dim_scans_down_from_the_top():
+    assert gen_odd_dim(2, 1000003).vector == (2, 2, 999938, 999946, 999958, 1000003)
+    start = time.perf_counter()
+    spec = gen_odd_dim(2, 10**9 + 7)
+    assert time.perf_counter() - start < 1
+    assert spec.derived["primes"] == (499999931, 499999993, 500000003)
 
 
 def test_gen_standard_example():

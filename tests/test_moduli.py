@@ -7,7 +7,6 @@ import pytest
 
 from bplinks.errors import InvariantViolation, RefusalError
 from bplinks.moduli import (
-    exotic_weights,
     maslov_index,
     mean_euler,
     moduli_dimension,
@@ -45,9 +44,9 @@ def test_weighted_monomial_count_random_against_brute():
 
 
 def test_exotic_weights_shape():
-    weights, d = exotic_weights(6, 8, 3)
-    assert d == 8 * 9 * 11 == 792
-    assert weights == (396, 396, 99, 99, 99, 88, 72)
+    stab = k_stability(exotic_vector(6, 8, 3))
+    assert stab.d == 8 * 9 * 11 == 792
+    assert stab.weights == (396, 396, 99, 99, 99, 88, 72)
 
 
 def test_moduli_dimension_example():
@@ -83,20 +82,46 @@ def test_moduli_dimension_refuses_repeated_exponents(n, p, l):
 
 
 def test_moduli_dimension_budget(monkeypatch):
-    # (6, 8, 3): d = 792, weights (396, 396, 99, 99, 99, 88, 72); the DP at
-    # degree d adds 2 * 397 + 3 * 694 + 705 + 721 = 4302, the seven weight
-    # degrees 2 * 1530 + 3 * 43 + 18 + 1 = 3208
-    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "7509")
-    with pytest.raises(RefusalError, match=r"~7510 .*budget 7509\)"):
+    # (6, 8, 3): d = 792, weights (396, 396, 99, 99, 99, 88, 72); the one DP
+    # up to degree d adds 2 * 397 + 3 * 694 + 705 + 721 = 4302
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "4301")
+    with pytest.raises(RefusalError, match=r"~4302 .*budget 4301\)"):
         moduli_dimension(6, 8, 3)
-    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "7510")
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "4302")
     assert moduli_dimension(6, 8, 3).dimension == 35
 
 
 def test_maslov_index_examples():
     assert maslov_index(6, 8, 3) == 914  # 2(3*99 + 8*20)
     assert maslov_index(4, 10, 3) == 766  # 2(11*13 + 10*24)
-    assert maslov_index(6, 2, 1) == 78  # degenerate small-p case still total
+    with pytest.raises(ValueError):
+        maslov_index(6, 2, 1)  # l = 1 repeats p + 1; the formula gives 78, 2 * I_a is 26
+
+
+def test_l_one_is_not_a_family_shape():
+    # (2,2,8,8,8,9,9): the formula gives 774, but 2 * I_a is 86
+    with pytest.raises(ValueError):
+        maslov_index(6, 8, 1)
+    with pytest.raises(ValueError):
+        mean_euler(6, 2, 1)
+
+
+def _accepts(fn, *args):
+    try:
+        fn(*args)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_one_family_shape(n):
+    # exotic_vector is the one shape check, so all three accept the same
+    for p in range(-2, 40):
+        for l in range(-1, 12):
+            ok = _accepts(exotic_vector, n, p, l)
+            assert _accepts(maslov_index, n, p, l) == ok, (n, p, l)
+            assert _accepts(mean_euler, n, p, l) == ok, (n, p, l)
 
 
 def test_maslov_equals_twice_index_invariant():
@@ -105,7 +130,7 @@ def test_maslov_equals_twice_index_invariant():
     while checked < 100:
         n = rng.choice([4, 6, 8, 10])
         p = rng.randrange(4, 200, 2)
-        l = rng.choice([1, 3, 5, 7, 9, 11])
+        l = rng.choice([3, 5, 7, 9, 11])
         if gcd(p, l) != 1 or gcd(p + 1, l - 1) != 1:
             continue
         mu = maslov_index(n, p, l)
@@ -132,7 +157,7 @@ def test_mean_euler_degenerate_guard():
     # tiny p: frequencies are computed and any negativity must be flagged,
     # not silently emitted
     try:
-        rep = mean_euler(6, 2, 1)
+        rep = mean_euler(6, 2, 3)  # the smallest accepted shape
     except InvariantViolation as err:
         assert "frequency" in str(err)
     else:
@@ -141,8 +166,8 @@ def test_mean_euler_degenerate_guard():
 
 def test_frequencies_nonnegative_in_regime():
     for p in range(4, 60, 2):
-        for l in (1, 3, 5):
-            if gcd(p, l) != 1 or (l > 1 and gcd(p + 1, l - 1) != 1):
+        for l in (3, 5):
+            if gcd(p, l) != 1 or gcd(p + 1, l - 1) != 1:
                 continue
             rep = mean_euler(6, p, l)
             assert all(s.frequency >= 0 for s in rep.strata), (p, l)
