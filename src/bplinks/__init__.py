@@ -32,7 +32,7 @@ from .lattice import (
     tau_kernel,
 )
 from .moduli import maslov_index, mean_euler, moduli_dimension, weighted_monomial_count
-from .quasipoly import QuasiPolynomial, qp_eval, qp_fit, qp_prefix_sum, qp_verify
+from .quasipoly import QuasiPolynomial, qp_eval, qp_fit, qp_verify
 from .report import LinkReport, classify_link, report_to_dict
 from .stability import contact_obstruction, fujita_subset_oracle, k_stability
 from .topology import (

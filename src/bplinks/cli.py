@@ -30,7 +30,7 @@ from .families import brieskorn_reference, fit_exotic_tau, gen_exotic, gen_odd_d
 from .lattice import SignatureResult, tau_brute, tau_kernel
 from .moduli import mean_euler, moduli_dimension
 from .report import classify_link, report_to_dict
-from .topology import diffeo_class_even, exponent_vector
+from .topology import classify_sphere, diffeo_class_even, exponent_vector
 
 CACHE_VERSION = 1
 
@@ -166,7 +166,7 @@ def _cmd_tau(args) -> int:
         "method": sig.method,
     }
     n = len(a) - 1
-    if n % 2 == 0 and sig.tau % 8 == 0:
+    if n % 2 == 0 and classify_sphere(a).is_homotopy_sphere:
         cls = diffeo_class_even(n, sig.tau)
         out["class"] = f"{cls.class_mod_bp} mod {cls.bp.order}"
     _emit(out)
@@ -216,25 +216,7 @@ def _cmd_moduli(args) -> int:
 
 def _cmd_euler(args) -> int:
     rep = mean_euler(args.n, args.p, args.l, chi_p=args.chi_poly)
-    out = {
-        "n": rep.n,
-        "p": rep.p,
-        "l": rep.l,
-        "mu_p": rep.mu_p,
-        "phi_2": rep.phi_2,
-        "chi_m": rep.chi_m,
-        "chi_p_model": rep.chi_p_model,
-        "strata": [
-            {
-                "orbit_space": s.label,
-                "period": s.period,
-                "chi_s1": s.chi_s1,
-                "frequency": s.frequency,
-            }
-            for s in rep.strata
-        ],
-    }
-    _emit(to_jsonable(out))
+    _emit(to_jsonable(asdict(rep)))
     return 0
 
 

@@ -14,7 +14,7 @@ from math import gcd
 from typing import Optional
 
 from .arith import bp_order, to_jsonable
-from .errors import InvariantViolation, NotQuasiPolynomialError, RefusalError
+from .errors import InvariantViolation, RefusalError
 from .lattice import tau_kernel
 from .primes import is_prime
 from .quasipoly import QuasiPolynomial, qp_fit, qp_verify
@@ -243,9 +243,10 @@ def fit_exotic_tau(m: int, k: int, l: int, samples: int, verify: int = 0) -> Tau
     of period l*(l-1) on that residue class.
 
     q0 is the first q that gen_exotic admits: the K-stability gate fails
-    exactly below a threshold in p (q0 = 1 at m = 2, 2 at m = 3).  The
-    degree bound starts at n = 2m and is raised up to n+2 if the samples
-    refuse to fit; held-out verification points (q = q0+samples, ...) are
+    exactly below a threshold in p (q0 = 1 at m = 2, 2 at m = 3).  The fit
+    is made once, at degree bound n = 2m; a sample the fit does not
+    reproduce refuses with qp_fit's NotQuasiPolynomialError, which names
+    the witness p.  Held-out verification points (q = q0+samples, ...) are
     compared exactly against tau_kernel.
     """
     n = 2 * m
@@ -268,20 +269,7 @@ def fit_exotic_tau(m: int, k: int, l: int, samples: int, verify: int = 0) -> Tau
         p, t = member_tau(qv)
         pts.append((qv, p, t))
 
-    last_err: Optional[Exception] = None
-    qp = None
-    for deg in range(n, n + 3):
-        try:
-            qp = qp_fit([(p, t) for _, p, t in pts], period, deg)
-            degree = deg
-            break
-        except NotQuasiPolynomialError as err:
-            last_err = err  # raising the degree may absorb the mismatch
-    if qp is None:
-        raise RefusalError(
-            f"tau samples do not fit a quasi-polynomial up to degree "
-            f"{n + 2}: {last_err}"
-        )
+    qp = qp_fit([(p, t) for _, p, t in pts], period, n)
 
     verify_rows = None
     if verify > 0:
@@ -296,6 +284,6 @@ def fit_exotic_tau(m: int, k: int, l: int, samples: int, verify: int = 0) -> Tau
         qp=qp,
         family={"m": m, "k": k, "l": l, "period": period},
         samples=tuple(pts),
-        degree_used=degree,
+        degree_used=n,
         verify=verify_rows,
     )

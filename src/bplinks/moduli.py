@@ -124,7 +124,7 @@ def maslov_index(n: int, p: int, l: int) -> int:
 
 @dataclass(frozen=True)
 class OrbitStratum:
-    label: str
+    orbit_space: str
     period: int
     chi_s1: Fraction  # equivariant Euler characteristic of the stratum
     frequency: int
@@ -137,10 +137,9 @@ class MeanEulerReport:
     l: int
     mu_p: int
     phi_2: int
-    strata: tuple
     chi_m: Fraction
     chi_p_model: str
-    chi_p_value: Fraction
+    strata: tuple
 
 
 def mean_euler(
@@ -176,13 +175,13 @@ def mean_euler(
         ("L(2,2)", 2, Fraction(2), phi_2),
     ]
     strata = []
-    for label, period, chi, freq in rows:
+    for orbit_space, period, chi, freq in rows:
         if freq < 0:
             raise InvariantViolation(
-                f"negative frequency {freq} for stratum {label} at "
+                f"negative frequency {freq} for stratum {orbit_space} at "
                 f"(n, p, l) = ({n}, {p}, {l})"
             )
-        strata.append(OrbitStratum(label=label, period=period, chi_s1=chi, frequency=freq))
+        strata.append(OrbitStratum(orbit_space, period, chi, freq))
 
     total = sum(s.chi_s1 * s.frequency for s in strata)
     chi_m = -total / mu
@@ -192,8 +191,7 @@ def mean_euler(
         l=l,
         mu_p=mu,
         phi_2=phi_2,
-        strata=tuple(strata),
         chi_m=chi_m,
         chi_p_model=model,
-        chi_p_value=chi_p_value,
+        strata=tuple(strata),
     )

@@ -1,11 +1,8 @@
-"""Deterministic primality testing and prime listing on open rational
-intervals."""
+"""Deterministic primality testing."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-__all__ = ["is_prime", "primes_in_interval"]
+__all__ = ["is_prime"]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -37,14 +34,3 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def primes_in_interval(lo, hi) -> list:
-    """All primes in the open interval (lo, hi), ascending.  Endpoints may
-    be exact rationals; an empty list is a valid result."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo >= hi:
-        raise ValueError(f"need lo < hi, got ({lo}, {hi})")
-    start = lo.numerator // lo.denominator + 1  # smallest integer > lo
-    end = -((-hi.numerator) // hi.denominator) - 1  # largest integer < hi
-    return [n for n in range(max(2, start), end + 1) if is_prime(n)]

@@ -1,5 +1,4 @@
-"""Exact quasi-polynomial fitting, evaluation, verification, and prefix
-sums.
+"""Exact quasi-polynomial fitting, evaluation and verification.
 
 A quasi-polynomial of period L agrees with an ordinary polynomial on each
 residue class mod L.  Branches are per-residue coefficient lists of exact
@@ -22,7 +21,6 @@ __all__ = [
     "qp_fit",
     "qp_eval",
     "qp_verify",
-    "qp_prefix_sum",
 ]
 
 Poly = tuple  # tuple of Fraction coefficients, ascending powers
@@ -48,17 +46,6 @@ def _poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return tuple(out)
-
-
-def _poly_compose_linear(p: Sequence[Fraction], b0: Fraction, b1: Fraction) -> Poly:
-    """p(b0 + b1 * s) as a polynomial in s."""
-    out: Poly = (Fraction(0),)
-    power: Poly = (Fraction(1),)
-    lin = (Fraction(b0), Fraction(b1))
-    for c in p:
-        out = _poly_add(out, tuple(c * v for v in power))
-        power = _poly_mul(power, lin)
-    return _trim(out)
 
 
 def _trim(p: Sequence[Fraction]) -> Poly:
@@ -166,44 +153,3 @@ def qp_verify(qp: QuasiPolynomial, oracle: Callable, points: Iterable) -> QpVeri
     for x in points:
         entries.append((x, qp_eval(qp, x), Fraction(oracle(x))))
     return QpVerifyReport(entries=tuple(entries))
-
-
-def qp_prefix_sum(qp: QuasiPolynomial) -> QuasiPolynomial:
-    """The quasi-polynomial s -> sum_{x=0}^{s} f(x), same period.
-
-    Per residue k, sum_{t=0}^{M} f(tL + k) is a polynomial in M of one
-    higher degree (Faulhaber); it is recovered by exact interpolation and
-    composed with the linear quasi-polynomial M = (s - k - ((rho-k) mod L))/L
-    on each output residue rho.
-    """
-    L = qp.period
-    if set(qp.branches) != set(range(L)):
-        raise ValueError("prefix sum needs every residue branch present")
-
-    # h_k(M) = sum_{t=0}^{M} f_k(tL + k); h_k(-1) = 0 holds identically
-    partial: dict[int, Poly] = {}
-    for k, poly in qp.branches.items():
-        deg = len(poly) - 1
-        xs, ys = [], []
-        acc = Fraction(0)
-        for m in range(deg + 2):
-            acc += _poly_eval(poly, m * L + k)
-            xs.append(m)
-            ys.append(acc)
-        partial[k] = _newton_interpolate(xs, ys)
-
-    branches = {}
-    for rho in range(L):
-        out: Poly = (Fraction(0),)
-        for k in range(L):
-            c = (rho - k) % L
-            composed = _poly_compose_linear(
-                partial[k], Fraction(-(k + c), L), Fraction(1, L)
-            )
-            out = _poly_add(out, composed)
-        branches[rho] = _trim(out)
-    return QuasiPolynomial(
-        period=L,
-        degree_bound=qp.degree_bound + 1,
-        branches=branches,
-    )

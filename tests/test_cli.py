@@ -2,11 +2,12 @@ import hashlib
 import json
 import shlex
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from bplinks import cli
+from bplinks import cli, families
 from bplinks.cli import main
 
 
@@ -48,6 +49,12 @@ def test_tau_golden(capsys):
     assert out["class"] == "1 mod 28"
     assert out["boundary_skipped"] == 0
 
+    # 8 | tau, but the link is not a homotopy sphere, so it has no bP class
+    code, lines, _ = run_cli(capsys, "tau", "2", "2", "2", "3", "6")
+    assert code == 0
+    assert lines[0]["tau"] == 8 and lines[0]["boundary_skipped"] == 2
+    assert "class" not in lines[0]
+
 
 # ---------------------------------------------------------------------------
 # other subcommands
@@ -67,6 +74,7 @@ def test_family_and_qpfit(capsys):
     assert code == 0
     fit = lines[0]
     assert fit["quasi_polynomial"]["period"] == 6
+    assert fit["degree_used"] == 4
     assert all(row["match"] for row in fit["verify"])
 
 
@@ -83,6 +91,7 @@ def test_qpfit_starts_at_least_admissible_q(capsys):
     assert code == 0
     fit = lines[0]
     assert [s[0] for s in fit["samples"]] == list(range(2, 12))
+    assert fit["degree_used"] == 6
     assert [row["p"] for row in fit["verify"]] == [74, 80, 86]  # q = 12, 13, 14
     assert all(row["match"] for row in fit["verify"])
 
@@ -394,6 +403,22 @@ def test_qpfit_rejects_bad_counts(capsys):
         capsys, "qpfit", "--m", "2", "--k", "1", "--l", "3", "--samples", "7", "--verify", "0"
     )
     assert code == 0 and "verify" not in lines[0]
+
+
+def test_qpfit_refuses_a_sample_off_the_quasi_polynomial(capsys, monkeypatch):
+    # add 8 to tau at p = 44 (q = 7), a surplus sample of the degree-4 fit
+    real = families.tau_kernel
+
+    def perturbed(vector, **kw):
+        sig = real(vector, **kw)
+        return replace(sig, tau=sig.tau + 8) if vector[2] == 44 else sig
+
+    monkeypatch.setattr(families, "tau_kernel", perturbed)
+    code, lines, err = run_cli(
+        capsys, "qpfit", "--m", "2", "--k", "1", "--l", "3", "--samples", "7", "--verify", "0"
+    )
+    assert code == 1 and lines == []
+    assert "not quasi-polynomial" in err and "x=44" in err
 
 
 def test_scan_drops_torn_last_cache_line(capsys, tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from bplinks.families import (
     gen_standard,
 )
 from bplinks.lattice import tau_kernel
-from bplinks.primes import is_prime, primes_in_interval
+from bplinks.primes import is_prime
 from bplinks.stability import CONTACT_INCONCLUSIVE, contact_obstruction, k_stability
 from bplinks.topology import COND2, classify_sphere, diffeo_class_even
 
@@ -27,14 +27,12 @@ def test_is_prime_small_and_carmichael():
     assert is_prime(2**61 - 1)
 
 
-def test_primes_in_interval_open_rational_bounds():
-    assert primes_in_interval(Fraction(303, 8), Fraction(101, 2)) == [41, 43, 47]
-    assert primes_in_interval(2, 3) == []  # endpoints excluded
-
-
 def test_gen_odd_dim_examples():
     spec = gen_odd_dim(2, 101)
     assert spec.vector == (2, 2, 82, 86, 94, 101)
+    # the open interval ((n-2) p_n / (2(n-1)), p_n / 2) holds exactly 41, 43, 47
+    assert spec.derived["interval"] == (Fraction(303, 8), Fraction(101, 2))
+    assert spec.derived["primes"] == (41, 43, 47)
     assert spec.expectations["kervaire"] is True
     assert spec.expectations["se_metric"] is True
 
@@ -150,7 +148,7 @@ def test_fit_exotic_tau_desk_scale():
     fit = fit_exotic_tau(2, 1, 3, samples=7, verify=3)
     assert fit.qp.period == 6
     assert [p for _, p, _ in fit.samples] == [8, 14, 20, 26, 32, 38, 44]
-    assert fit.degree_used <= 4
+    assert fit.degree_used == 4
     assert fit.verify is not None
     for p, predicted, actual in fit.verify:
         assert predicted == actual, p

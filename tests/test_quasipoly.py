@@ -8,7 +8,6 @@ from bplinks.quasipoly import (
     QuasiPolynomial,
     qp_eval,
     qp_fit,
-    qp_prefix_sum,
     qp_verify,
 )
 
@@ -89,45 +88,6 @@ def test_verify_reports_matches_and_mismatches():
     rep = qp_verify(wrong, lambda x: x // 2, [10, 11])
     assert not rep.all_match
     assert rep.mismatches == ((10, Fraction(6), Fraction(5)),)
-
-
-def test_prefix_sum_identity_function():
-    qp = qp_fit([(x, x) for x in range(3)], period=1, degree_bound=1)
-    ps = qp_prefix_sum(qp)
-    for s in range(50):
-        assert qp_eval(ps, s) == s * (s + 1) // 2
-
-
-def test_prefix_sum_parity_indicator():
-    qp = qp_fit([(x, x % 2) for x in range(6)], period=2, degree_bound=0)
-    ps = qp_prefix_sum(qp)
-    for s in range(60):
-        assert qp_eval(ps, s) == (s + 1) // 2
-
-
-def test_prefix_sum_matches_direct_summation():
-    rng = random.Random(2)
-    for _ in range(100):
-        period = rng.randint(1, 6)
-        deg = rng.randint(0, 3)
-        branches = {
-            r: tuple(
-                Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(deg + 1)
-            )
-            for r in range(period)
-        }
-        qp = QuasiPolynomial(period=period, degree_bound=deg, branches=branches)
-        ps = qp_prefix_sum(qp)
-        acc = Fraction(0)
-        for s in range(3 * period + 5):
-            acc += qp_eval(qp, s)
-            assert qp_eval(ps, s) == acc, (period, deg, s)
-
-
-def test_prefix_sum_requires_all_branches():
-    qp = QuasiPolynomial(period=3, degree_bound=0, branches={0: (Fraction(1),)})
-    with pytest.raises(ValueError):
-        qp_prefix_sum(qp)
 
 
 def test_json_serialization_round_trips_coefficients():
