@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .errors import RefusalError, _resolve_budget
+
 __all__ = ["BPOrder", "bernoulli_even", "bp_order", "bounded_compositions", "to_jsonable"]
 
 
@@ -22,8 +24,23 @@ _bernoulli_lock = threading.Lock()
 _bernoulli: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 
 
+def _sum_even_squares(hi: int) -> int:
+    """Sum of k^2 over the even k with 2 <= k <= hi."""
+    j = hi // 2
+    return 4 * (j * (j + 1) * (2 * j + 1) // 6)
+
+
 def _extend_bernoulli(upto: int) -> None:
     # Defining recurrence: sum_{k=0}^{n} C(n+1, k) B_k = 0 for n >= 1.
+    # Adding B_k sums k Fractions whose numerators grow like k log k bits, so
+    # the work of the even k still to add is estimated as the sum of k^2.
+    estimate = _sum_even_squares(upto) - _sum_even_squares(len(_bernoulli) - 1)
+    limit = _resolve_budget(None)
+    if estimate > limit:
+        raise RefusalError(
+            f"Bernoulli numbers up to B_{upto} would take ~{estimate} term steps "
+            f"(budget {limit}); raise BPLINKS_TAU_BUDGET"
+        )
     while len(_bernoulli) <= upto:
         n = len(_bernoulli)
         if n % 2 == 1:
@@ -34,7 +51,11 @@ def _extend_bernoulli(upto: int) -> None:
 
 
 def bernoulli_even(m2: int) -> Fraction:
-    """Bernoulli number B_{m2} for even m2 >= 2 (B_2 = 1/6, B_4 = -1/30)."""
+    """Bernoulli number B_{m2} for even m2 >= 2 (B_2 = 1/6, B_4 = -1/30).
+
+    Values are memoised; extending the table is estimated first and refused
+    with RefusalError past the package budget (default 10^8, env override
+    BPLINKS_TAU_BUDGET), so bp_order(100000) refuses at once."""
     if m2 < 2 or m2 % 2 != 0:
         raise ValueError(f"bernoulli_even requires an even integer >= 2, got {m2}")
     with _bernoulli_lock:

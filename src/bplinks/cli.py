@@ -8,6 +8,13 @@ tau_kernel) is set by --budget or the BPLINKS_TAU_BUDGET environment
 variable and bounds both methods; tau_kernel's closed form for
 (2, 2, a, b, c) with a, b, c pairwise coprime takes no DP steps, so the
 budget never refuses it.
+
+scan iterates report.scan_links, which walks the sorted vectors and checks
+--n >= 3 once (argparse makes a smaller n a usage error before any work).
+Its cache lookups and the --paranoid recheck live in the callback it passes
+to scan_links.  Its one stderr line counts the links matched and the
+vectors walked and, with --cache, the cache hits and writes; it holds no
+timings, so it is as deterministic as stdout.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Optional
 
@@ -29,7 +35,7 @@ from .errors import InvariantViolation, RefusalError
 from .families import brieskorn_reference, fit_exotic_tau, gen_exotic, gen_odd_dim, gen_standard
 from .lattice import SignatureResult, tau_brute, tau_kernel
 from .moduli import mean_euler, moduli_dimension
-from .report import classify_link, report_to_dict
+from .report import classify_link, report_to_dict, scan_links
 from .topology import classify_sphere, diffeo_class_even, exponent_vector
 
 CACHE_VERSION = 1
@@ -221,15 +227,16 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    count = vectors = hits = writes = 0
     # the cache's handle is closed on every exit, so it is complete on return
     with (ScanCache(Path(args.cache)) if args.cache else nullcontext()) as cache:
-        count = 0
-        for combo in combinations_with_replacement(range(2, args.amax + 1), args.n + 1):
-            vector = tuple(combo)
-            pre = None
-            if cache is not None and args.n % 2 == 0:
-                pre = cache.get(vector)
-                if pre is not None and args.paranoid:
+
+        def cached(vector: tuple) -> Optional[SignatureResult]:
+            nonlocal hits
+            pre = cache.get(vector)
+            if pre is not None:
+                hits += 1
+                if args.paranoid:
                     fresh = tau_kernel(vector)
                     if fresh.tau != pre.tau:
                         raise InvariantViolation(
@@ -237,9 +244,13 @@ def _cmd_scan(args) -> int:
                             f"{pre.tau} != {fresh.tau}"
                         )
                     pre = fresh
-            rep = classify_link(vector, tau_method="kernel", precomputed_tau=pre)
-            if cache is not None and rep.signature is not None and pre is None:
-                cache.put(vector, rep.signature)
+            return pre
+
+        for rep in scan_links(args.n, args.amax, cached if cache is not None else None):
+            vectors += 1
+            if cache is not None and rep.signature is not None and cache.get(rep.vector) is None:
+                cache.put(rep.vector, rep.signature)
+                writes += 1
             if args.filter == "sphere" and not rep.sphere.is_homotopy_sphere:
                 continue
             if args.filter == "se-sphere" and not (
@@ -248,7 +259,10 @@ def _cmd_scan(args) -> int:
                 continue
             _emit(report_to_dict(rep))
             count += 1
-    _diag(f"scan: {count} links matched")
+    summary = f"scan: {count} links matched of {vectors} vectors"
+    if args.cache:
+        summary += f"; cache {hits} hits, {writes} writes"
+    _diag(summary)
     return 0
 
 
@@ -334,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_euler)
 
     p = sub.add_parser("scan", help="enumerate and classify sorted vectors")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(3), required=True)
     p.add_argument("--amax", type=int, required=True)
     p.add_argument("--filter", choices=["all", "sphere", "se-sphere"], default="all")
     p.add_argument("--cache", default=None)

@@ -2,9 +2,26 @@
 
 Exit-code mapping used by the CLI: usage errors exit 2 (argparse),
 RefusalError exits 1, InvariantViolation exits 3.
+
+The work budget that every estimate-then-refuse computation checks against
+lives here too: arith, lattice and moduli all read it, and this module
+imports nothing of the package, so none of them needs another's import.
 """
 
 from __future__ import annotations
+
+import os
+
+DEFAULT_BUDGET = 10**8
+_BUDGET_ENV = "BPLINKS_TAU_BUDGET"
+
+
+def _resolve_budget(budget: int | None) -> int:
+    """An explicit budget, else BPLINKS_TAU_BUDGET, else DEFAULT_BUDGET."""
+    if budget is not None:
+        return budget
+    env = os.environ.get(_BUDGET_ENV)
+    return int(env) if env else DEFAULT_BUDGET
 
 
 class RefusalError(RuntimeError):

@@ -105,6 +105,7 @@ def gen_standard(m: int, k: int) -> FamilySpec:
     divisible by |bP_{4m}|, i.e. the sphere is standard."""
     if m < 2 or k < 2:
         raise ValueError("gen_standard requires m >= 2 and k >= 2")
+    bp = bp_order(m)  # refuses a huge m before the vector is classified
     n = 2 * m
     s = n - 1
     p = s * k + 1
@@ -120,7 +121,6 @@ def gen_standard(m: int, k: int) -> FamilySpec:
     cls = classify_sphere(vector)
     if not cls.is_homotopy_sphere:
         raise InvariantViolation(f"standard family member {vector} is not a sphere")
-    bp = bp_order(m)
     return FamilySpec(
         variant="standard",
         params={"m": m, "k": k},
@@ -160,6 +160,7 @@ def gen_exotic(m: int, k: int, l: int, q: int) -> FamilySpec:
         raise ValueError("gen_exotic requires m >= 2, k >= 1, q >= 1")
     if l not in (6 * k - 3, 6 * k - 1):
         raise ValueError(f"l must be 6k-3 or 6k-1 for k={k}; got {l}")
+    bp = bp_order(m)  # refuses a huge m before the vector is classified
     n = 2 * m
     p = q * l * (l - 1) + 2
     vector = exotic_vector(n, p, l)
@@ -170,7 +171,6 @@ def gen_exotic(m: int, k: int, l: int, q: int) -> FamilySpec:
             f"K-stability inequality fails for {vector}: sum 1/a_i exceeds "
             f"1 + n/a_n by {deficit} (p too small for n={n}, l={l})"
         )
-    bp = bp_order(m)
     return FamilySpec(
         variant="exotic",
         params={"m": m, "k": k, "l": l, "q": q},
@@ -252,6 +252,9 @@ def fit_exotic_tau(m: int, k: int, l: int, samples: int, verify: int = 0) -> Tau
     n = 2 * m
     period = l * (l - 1)
 
+    # gen_exotic's own bp_order is then a table lookup, so the refusals the
+    # loop below skips are the K-stability gate's, never the bP order's
+    bp_order(m)
     q0 = 1
     while True:
         try:

@@ -25,13 +25,12 @@ spheres, so a nonzero boundary count flags a non-sphere input).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from typing import Sequence
 
-from .errors import InvariantViolation, RefusalError
+from .errors import DEFAULT_BUDGET, InvariantViolation, RefusalError, _resolve_budget
 from .topology import exponent_vector
 
 __all__ = [
@@ -49,17 +48,6 @@ __all__ = [
     "delta_closed",
     "beta_via_gamma",
 ]
-
-DEFAULT_BUDGET = 10**8
-_BUDGET_ENV = "BPLINKS_TAU_BUDGET"
-
-
-def _resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(_BUDGET_ENV)
-    return int(env) if env else DEFAULT_BUDGET
-
 
 def _strict_floor(q: Fraction) -> int:
     """Largest integer strictly less than q."""

@@ -13,10 +13,9 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
-from .errors import InvariantViolation, RefusalError
+from .errors import InvariantViolation, RefusalError, _resolve_budget
 from .stability import k_stability
 from .families import exotic_vector
-from .lattice import _resolve_budget
 from .quasipoly import _poly_eval
 
 __all__ = [

@@ -61,16 +61,19 @@ def k_stability(a: Sequence[int]) -> StabilityReport:
     polystability flag; the semistable boundary reports False with
     boundary_semistable set."""
     a = exponent_vector(a)
-    n = len(a) - 1
-    an = a[-1]
     p = prod(a)
-    num = sum(p // ai for ai in a)  # sum 1/a_i = num / p
+    return _stability_report(a, len(a) - 1, p, sum(p // ai for ai in a), lcm(*a))
+
+
+def _stability_report(a: tuple, n: int, p: int, num: int, d: int) -> StabilityReport:
+    """k_stability of the sorted, validated vector a of length n + 1, given
+    p = prod a_i, num = sum p/a_i (so sum 1/a_i = num/p) and d = lcm a_i."""
+    an = a[-1]
     log_fano = num > p
     lhs, rhs = num * an, p * (an + n)  # sum 1/a_i vs 1 + n/a_n, times p*a_n
     semi = log_fano and lhs <= rhs
     poly = log_fano and lhs < rhs
 
-    d = lcm(*a)
     weights = tuple(d // ai for ai in a)
     index = sum(weights) - d
     # the index form is equivalent to the inequality form; check every call

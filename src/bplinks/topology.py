@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .arith import BPOrder, bp_order
@@ -104,18 +104,46 @@ def build_gcd_graph(a: Sequence[int]) -> GcdGraph:
     groups: list[list[int]] = [[] for _ in range(count)]
     for i in range(n1):
         groups[label[i]].append(i)
-    components = tuple(map(tuple, groups))
-    isolated = tuple(c[0] for c in components if len(c) == 1)
+    return _graph_from_components(a, tuple(map(tuple, groups)))
 
-    ev: tuple = ()
-    evens = [i for i in range(n1) if a[i] % 2 == 0]
-    if evens:
-        root = label[evens[0]]
-        ev = components[root]
-        # even-even gcd >= 2, so all even entries lie in one component
-        if any(label[i] != root for i in evens):
-            raise InvariantViolation(f"even entries of {a} lie in more than one component")
+
+def _graph_from_components(a: tuple, components: tuple) -> GcdGraph:
+    """The GcdGraph of the sorted, validated vector a whose components (sorted
+    index tuples in least-index order) are given."""
+    isolated = tuple(c[0] for c in components if len(c) == 1)
+    holding_evens = [c for c in components if any(a[i] % 2 == 0 for i in c)]
+    # even-even gcd >= 2, so all even entries lie in one component
+    if len(holding_evens) > 1:
+        raise InvariantViolation(f"even entries of {a} lie in more than one component")
+    ev = holding_evens[0] if holding_evens else ()
     return GcdGraph(vertices=a, components=components, isolated=isolated, ev_component=ev)
+
+
+def _join_vertex(comps: tuple, i: int, v: int) -> tuple:
+    """The components after vertex i of value v is added to a graph whose
+    components, in least-index order, are comps: (sorted indices, lcm of
+    their values) pairs.  v is adjacent to a member of a component iff it
+    shares a prime with the component's lcm, so v joins every component
+    with gcd(v, lcm) > 1; those fuse at the position of the first, and a v
+    that joins none is a new last component.  i exceeds every index in
+    comps, so least-index order is kept."""
+    out = []
+    first = -1
+    for comp in comps:
+        if gcd(v, comp[1]) == 1:
+            out.append(comp)
+        elif first < 0:
+            first = len(out)
+            out.append(comp)
+            members, m = comp
+        else:
+            members = tuple(sorted(members + comp[0]))
+            m = lcm(m, comp[1])
+    if first < 0:
+        out.append(((i,), v))
+    else:
+        out[first] = (members + (i,), lcm(m, v))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -132,7 +160,11 @@ def classify_sphere(a: Sequence[int]) -> SphereClassification:
     point together with an ev-component of odd size whose pairwise gcds are
     all exactly 2.
     """
-    g = build_gcd_graph(a)
+    return _sphere_from_graph(build_gcd_graph(a))
+
+
+def _sphere_from_graph(g: GcdGraph) -> SphereClassification:
+    """classify_sphere of the vector whose gcd graph is g."""
     iso = g.isolated
     if len(iso) >= 2:
         return SphereClassification(

@@ -5,12 +5,27 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from bplinks import arith
 from bplinks.arith import bernoulli_even, bounded_compositions, bp_order, to_jsonable
+from bplinks.errors import RefusalError
 
 
 def test_bernoulli_small_values():
     assert bernoulli_even(2) == Fraction(1, 6)
     assert bernoulli_even(4) == Fraction(-1, 30)
+    assert bernoulli_even(12) == Fraction(-691, 2730)
+
+
+def test_bernoulli_extension_refuses_past_the_budget(monkeypatch):
+    # from an empty table, B_2..B_10 cost 2^2 + 4^2 + ... + 10^2 = 220 term steps
+    monkeypatch.setattr(arith, "_bernoulli", [Fraction(1), Fraction(-1, 2)])
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "219")
+    with pytest.raises(RefusalError, match=r"B_10 would take ~220 .*\(budget 219\)"):
+        bp_order(5)
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "220")
+    assert bp_order(5).order == 261632
+    # what the table holds costs nothing: B_12 adds 12^2 = 144 only
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "144")
     assert bernoulli_even(12) == Fraction(-691, 2730)
 
 

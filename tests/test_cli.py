@@ -1,14 +1,20 @@
 import hashlib
+import io
 import json
 import shlex
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bplinks import cli, families
+from bplinks import cli, families, report, topology
 from bplinks.cli import main
+from bplinks.report import classify_link, report_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +43,25 @@ def test_bp_order_golden(capsys):
     code, lines, _ = run_cli(capsys, "bp-order", "--m", "3")
     assert code == 0
     assert lines == [{"m": 3, "order": "992"}]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bp-order --m 100000",
+        "family standard --m 100000 --k 2",
+        "qpfit --m 5000 --k 1 --l 3",
+    ],
+)
+def test_huge_m_is_refused_quickly(capsys, monkeypatch, argv):
+    # the Bernoulli numbers bP_{4m} needs, up to B_{2m}, would take ~(2m)^3/6
+    # term steps: ~1.3e15 at m = 100000
+    monkeypatch.delenv("BPLINKS_TAU_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, lines, err = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert code == 1 and lines == []
+    assert "Bernoulli" in err and "(budget 100000000)" in err
 
 
 def test_tau_golden(capsys):
@@ -167,6 +192,82 @@ def test_scan_empty_range(capsys):
     code, lines, _ = run_cli(capsys, "scan", "--n", "4", "--amax", "1")
     assert code == 0
     assert lines == []
+
+
+@pytest.mark.parametrize("n", ["2", "0", "-1"])
+@pytest.mark.parametrize("amax", ["1", "5"])
+def test_scan_n_below_three_is_a_usage_error(capsys, n, amax):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--n", n, "--amax", amax])
+    assert exc.value.code == 2
+    assert "--n" in capsys.readouterr().err
+
+
+def test_scan_summary_counts_vectors_and_cache_traffic(capsys, tmp_path):
+    cache = str(tmp_path / "c")
+    code, lines, err = run_cli(capsys, "scan", "--n", "4", "--amax", "6", "--cache", cache)
+    assert code == 0 and len(lines) == 126
+    assert err == "scan: 126 links matched of 126 vectors; cache 0 hits, 126 writes\n"
+    code, lines, err = run_cli(capsys, "scan", "--n", "4", "--amax", "6", "--cache", cache)
+    assert code == 0 and len(lines) == 126
+    assert err == "scan: 126 links matched of 126 vectors; cache 126 hits, 0 writes\n"
+    code, _, err = run_cli(
+        capsys, "scan", "--n", "4", "--amax", "7", "--filter", "sphere", "--cache", cache
+    )
+    assert code == 0
+    assert err == "scan: 48 links matched of 252 vectors; cache 126 hits, 126 writes\n"
+    code, _, err = run_cli(capsys, "scan", "--n", "3", "--amax", "4", "--filter", "sphere")
+    assert code == 0 and err == "scan: 2 links matched of 15 vectors\n"
+
+
+def _kept(rep, filt):
+    if filt == "sphere":
+        return rep.sphere.is_homotopy_sphere
+    if filt == "se-sphere":
+        return rep.sphere.is_homotopy_sphere and rep.stability.se_metric_exists
+    return True
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(3, 6),
+    amax=st.integers(1, 6),
+    filt=st.sampled_from(["all", "sphere", "se-sphere"]),
+    cache=st.sampled_from([None, "cold", "warm"]),
+)
+def test_scan_prints_what_classify_link_says(n, amax, filt, cache):
+    # the walk's records against classify_link's, vector by vector
+    vectors = combinations_with_replacement(range(2, amax + 1), n + 1)
+    reports = [classify_link(v) for v in vectors]
+    expected = [report_to_dict(r) for r in reports if _kept(r, filt)]
+    argv = ["scan", "--n", str(n), "--amax", str(amax), "--filter", filt]
+    with tempfile.TemporaryDirectory() as tmp:
+        if cache is not None:
+            argv += ["--cache", str(Path(tmp) / "c")]
+        if cache == "warm":  # a smaller scan leaves hits and misses
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main(argv[:4] + [str(amax - 1)] + argv[5:]) == 0
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(argv) == 0
+    assert [json.loads(line) for line in out.getvalue().splitlines()] == expected
+    assert f"{len(expected)} links matched of {len(reports)} vectors" in err.getvalue()
+
+
+def test_scan_even_split_is_an_invariant_violation(capsys, monkeypatch):
+    # with no prime shared, the 2s fall into separate components
+    monkeypatch.setattr(topology, "gcd", lambda x, y: 1)
+    code, lines, err = run_cli(capsys, "scan", "--n", "3", "--amax", "3")
+    assert code == 3 and lines == []
+    assert "even entries of (2, 2, 2, 2) lie in more than one component" in err
+
+
+def test_scan_index_form_disagreement_is_an_invariant_violation(capsys, monkeypatch):
+    # a wrong lcm gives wrong Reeb weights, so the index form stops agreeing
+    monkeypatch.setattr(report, "lcm", lambda x, y: 1)
+    code, lines, err = run_cli(capsys, "scan", "--n", "3", "--amax", "3")
+    assert code == 3 and lines == []
+    assert "inequality form and index form disagree on (2, 2, 2, 2)" in err
 
 
 def _strip_timing(records):
@@ -430,14 +531,13 @@ def test_scan_drops_torn_last_cache_line(capsys, tmp_path, monkeypatch):
     cache.write_text("".join(good[:-1]) + good[-1][:25])  # killed mid-write
 
     computed = []
-    real_classify = cli.classify_link
+    real_tau = report.tau_kernel
 
-    def recording(vector, **kw):
-        if kw.get("precomputed_tau") is None:
-            computed.append(tuple(vector))
-        return real_classify(vector, **kw)
+    def recording(vector, *args, **kw):
+        computed.append(tuple(vector))
+        return real_tau(vector, *args, **kw)
 
-    monkeypatch.setattr(cli, "classify_link", recording)
+    monkeypatch.setattr(report, "tau_kernel", recording)
     code, lines, err = run_cli(capsys, "scan", "--n", "4", "--amax", "6", "--cache", str(cache))
     assert code == 0 and len(lines) == 126
     assert "torn" in err and "line 127" in err

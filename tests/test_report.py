@@ -1,7 +1,9 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bplinks.report import classify_link
+from bplinks.report import classify_link, report_to_dict, scan_links
 from bplinks.topology import arf_class, classify_sphere
 
 
@@ -18,3 +20,33 @@ def test_classify_link_agrees_with_topology_layers(values):
 def test_classify_link_rejects_non_integral_entries():
     with pytest.raises(ValueError, match="integers"):
         classify_link([2.9, 3, 5, 7])
+
+
+@pytest.mark.parametrize("n, amax", [(3, 12), (4, 9), (5, 8), (6, 7)])
+def test_scan_links_matches_classify_link_record_by_record(n, amax):
+    vectors = list(combinations_with_replacement(range(2, amax + 1), n + 1))
+    reports = list(scan_links(n, amax))
+    assert [r.vector for r in reports] == vectors
+    for v, rep in zip(vectors, reports):
+        assert report_to_dict(rep) == report_to_dict(classify_link(v)), v
+
+
+def test_scan_links_takes_cached_signatures_and_computes_the_rest():
+    asked = []
+    given_sig = classify_link((2, 2, 2, 3, 7)).signature
+
+    def cached(a):
+        asked.append(a)
+        return given_sig if a == (2, 2, 2, 3, 5) else None
+
+    reports = {r.vector: r for r in scan_links(4, 5, cached)}
+    assert asked == list(reports)
+    assert reports[(2, 2, 2, 3, 5)].signature is given_sig
+    assert reports[(2, 2, 2, 3, 4)] == classify_link((2, 2, 2, 3, 4))
+
+
+def test_scan_links_checks_n_once():
+    for n in (2, 0, -1):
+        with pytest.raises(ValueError, match="n >= 3"):
+            next(scan_links(n, 5))
+    assert list(scan_links(3, 1)) == []
