@@ -10,7 +10,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .errors import RefusalError, _resolve_budget
 
@@ -53,11 +53,16 @@ def _extend_bernoulli(upto: int) -> None:
 def bernoulli_even(m2: int) -> Fraction:
     """Bernoulli number B_{m2} for even m2 >= 2 (B_2 = 1/6, B_4 = -1/30).
 
-    Values are memoised; extending the table is estimated first and refused
-    with RefusalError past the package budget (default 10^8, env override
-    BPLINKS_TAU_BUDGET), so bp_order(100000) refuses at once."""
+    Values are memoised, and a value already in the table is returned
+    before anything is estimated or the budget read.  Extending the table is
+    estimated first and refused with RefusalError past the package budget
+    (default 10^8, env override BPLINKS_TAU_BUDGET), so bp_order(100000)
+    refuses at once."""
     if m2 < 2 or m2 % 2 != 0:
         raise ValueError(f"bernoulli_even requires an even integer >= 2, got {m2}")
+    table = _bernoulli
+    if m2 < len(table):  # entries are only ever appended, so no lock is needed
+        return table[m2]
     with _bernoulli_lock:
         _extend_bernoulli(m2)
         return _bernoulli[m2]
@@ -76,13 +81,16 @@ def bp_order(m: int) -> BPOrder:
     """|bP_{4m}| = 2^(2m-2) (2^(2m-1) - 1) * numerator(|4 B_{2m} / m|).
 
     The numerator is taken of the absolute value in lowest terms; group
-    orders are positive.  bp_order(2).order == 28 (the 28 exotic 7-spheres).
+    orders are positive.  With B_{2m} = p/q in lowest terms it is
+    |4p| / gcd(4p, mq), one integer gcd.  bp_order(2).order == 28 (the 28
+    exotic 7-spheres).
     """
     if m < 2:
         raise ValueError(f"bp_order requires m >= 2, got {m}")
     b = bernoulli_even(2 * m)
-    frac = abs(Fraction(4, m) * b)
-    order = 2 ** (2 * m - 2) * (2 ** (2 * m - 1) - 1) * frac.numerator
+    num = abs(4 * b.numerator)
+    num //= gcd(num, m * b.denominator)
+    order = 2 ** (2 * m - 2) * (2 ** (2 * m - 1) - 1) * num
     return BPOrder(m=m, order=order)
 
 

@@ -8,13 +8,18 @@ count of the tetrahedron with vertices 0, a e1, b e2, c e3, which Mordell's
 formula gives through three Dedekind sums, each evaluated by reciprocity in
 integers.  It takes no DP steps, so no budget applies to it.  Every other
 vector takes the residue DP, which folds the outer coordinates and counts
-each residue's window over the inner box with floor sums.  Two exact
+each residue's window over the inner box with floor sums.  Three exact
 symmetries keep that small.  Flipping every coordinate
 (x -> a - x) pairs residue r with its mirror (m*L - r) mod 2L, whose window
 counts are the same or have plus and minus swapped, so one window count
-serves both.  Below an edge Bx + Ay <= N with N <= AB the box's upper
-bounds cannot bind, so each edge is one floor sum (_open_box_below), and
-the same flip covers N > AB.  The same count serves the Fraction front
+serves both.  A window depends on the offset r/L only, and shifting the
+offset by 1 swaps plus and minus, so one count of the offset (r mod L)/L
+in lowest terms serves r and r + L, and every vector with the same inner
+box (A, B) whose offsets meet it.  The DP keeps its counts in a table
+keyed by (offset, A, B); a scan shares one table, and the outer list of
+its last prefix a[:-2], across all its vectors (_ResidueShare).  Below an
+edge Bx + Ay <= N with N <= AB the box's upper bounds cannot bind, so each
+edge is one floor sum (_open_box_below), and the same flip covers N > AB.  The same count serves the Fraction front
 end strip_count_2d, which turns its rational threshold into an integer one
 exactly (so there is no epsilon anywhere) and adds the closed lower edges
 x = 0 and y = 0 in closed form.  Points whose
@@ -25,6 +30,7 @@ spheres, so a nonzero boundary count flags a non-sphere input).
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
@@ -296,14 +302,17 @@ def _tau_residue_dp(a: tuple, budget: int | None) -> SignatureResult:
     exponents A, B form the inner box, the outer coordinates are folded.
 
     With L = lcm(outer), the outer offset is r/L with r = sum x_i L/a_i,
-    and only r mod 2L matters; the DP counts the outer points per residue,
-    then each pair of mirrored residues costs one O(log) integer window
-    count.  Flipping every coordinate sends r to (m*L - r) mod 2L
-    (m = len(outer)) with the same outer count, and the whole sum S to
-    m + 2 - S, so the mirror's window counts equal r's for odd m and have
-    plus and minus swapped for even m.  The equal outer counts are checked
-    on every residue.  The DP work is estimated first and refused beyond
-    the budget.
+    and only r mod 2L matters.  The DP runs in two stages: _outer_residues
+    folds the outer coordinates into one entry per offset num/den =
+    (r mod L)/L in lowest terms, and the window loop counts each entry's
+    window over the inner box, calling _window_counts(num, den, A, B) only
+    for a (num, den, A, B) not yet in the table.  A lone call fills a table
+    of its own, which never hits (the entries' offsets are distinct); a
+    scan sets one _ResidueShare around each of its calls (_SHARED), so its
+    vectors share the table and, while their outer exponents repeat, the
+    outer list.  The DP work is estimated from the outer exponents and
+    refused beyond the budget before any table is read, so a vector
+    refuses the same way inside or outside a scan.
     """
     A, B = a[-2], a[-1]
     outer = a[:-2]
@@ -320,6 +329,50 @@ def _tau_residue_dp(a: tuple, budget: int | None) -> SignatureResult:
             f"tau_kernel would take ~{estimate} residue steps (budget {limit}); "
             "raise --budget or BPLINKS_TAU_BUDGET"
         )
+    share = _SHARED.get() or _ResidueShare()
+    if share.outer != outer:
+        share.outer, share.residues = outer, _outer_residues(a, L)
+    windows = share.windows
+    plus = minus = boundary = 0
+    for num, den, same, other, twice in share.residues:
+        key = (num, den, A, B)
+        counts = windows.get(key)
+        if counts is None:
+            if len(windows) >= _WINDOW_TABLE_CAP:
+                windows.clear()
+            counts = windows[key] = _window_counts(num, den, A, B)
+        p, mn, b = counts
+        plus += same * p + other * mn
+        minus += other * p + same * mn
+        boundary += twice * b
+    return SignatureResult(
+        tau=plus - minus,
+        plus_count=plus,
+        minus_count=minus,
+        boundary_skipped=boundary,
+        method="kernel",
+    )
+
+
+def _outer_residues(a: tuple, L: int) -> list:
+    """The outer stage of the residue DP of a, whose outer exponents a[:-2]
+    have lcm L: one (num, den, same, other, twice) per offset num/den =
+    (r mod L)/L in lowest terms, such that the vector's plus count is the
+    sum of same * p + other * m, its minus count that of other * p + same * m,
+    and its boundary count that of twice * b, over the window counts
+    (p, m, b) = _window_counts(num, den, A, B) of its inner box (A, B).
+
+    The DP counts the outer points per residue r mod 2L.  Flipping every
+    coordinate sends r to its mirror (m*L - r) mod 2L (m = len(a) - 2)
+    with the same outer count, and the whole sum S to m + 2 - S, so the
+    mirror's window counts equal r's for odd m and have plus and minus
+    swapped for even m, and each pair is counted through its lesser
+    residue.  The equal outer counts are checked on every residue, once
+    per list built.  A residue r >= L has r - L's window with plus and
+    minus swapped, so both fold into one entry.
+    """
+    outer = a[:-2]
+    mod = 2 * L
     counts = {0: 1}
     for ai in outer:  # ascending order keeps intermediate residue maps small
         w = L // ai
@@ -329,7 +382,7 @@ def _tau_residue_dp(a: tuple, budget: int | None) -> SignatureResult:
                 r = (res + x * w) % mod
                 nxt[r] = nxt.get(r, 0) + cnt
         counts = nxt
-    plus = minus = boundary = 0
+    entries: dict[int, list] = {}  # r mod L -> [same, other, twice]
     shift, swap = len(outer) * L, len(outer) % 2 == 0
     for r, mult in counts.items():
         mirror = (shift - r) % mod
@@ -340,19 +393,49 @@ def _tau_residue_dp(a: tuple, budget: int | None) -> SignatureResult:
             )
         if mirror < r:
             continue  # counted with its mirror
-        p, mn, b = _window_counts(r, L, A, B)
+        same, other, twice = mult, 0, mult
         if mirror != r:
-            p, mn, b = (p + mn, mn + p, 2 * b) if swap else (2 * p, 2 * mn, 2 * b)
-        plus += mult * p
-        minus += mult * mn
-        boundary += mult * b
-    return SignatureResult(
-        tau=plus - minus,
-        plus_count=plus,
-        minus_count=minus,
-        boundary_skipped=boundary,
-        method="kernel",
-    )
+            same, other, twice = (mult, mult, 2 * mult) if swap else (2 * mult, 0, 2 * mult)
+        if r >= L:
+            same, other = other, same
+        entry = entries.setdefault(r - L if r >= L else r, [0, 0, 0])
+        entry[0] += same
+        entry[1] += other
+        entry[2] += twice
+    out = []
+    for r, (same, other, twice) in entries.items():
+        g = gcd(r, L)
+        out.append((r // g, L // g, same, other, twice))
+    return out
+
+
+# At most this many window counts are kept across one scan; a full table is
+# emptied, never grown.
+_WINDOW_TABLE_CAP = 1 << 14
+
+
+class _ResidueShare:
+    """The window-count table and the last outer list of _tau_residue_dp,
+    shared by the calls that see it through _SHARED."""
+
+    __slots__ = ("windows", "outer", "residues")
+
+    def __init__(self):
+        self.windows: dict = {}  # (num, den, A, B) -> _window_counts(num, den, A, B)
+        self.outer: tuple | None = None
+        self.residues: list = []  # _outer_residues of a vector with these outer exponents
+
+    def clear(self) -> None:
+        self.windows.clear()
+        self.outer, self.residues = None, []
+
+
+# The share that _tau_residue_dp uses.  It reaches the DP this way, not as
+# a parameter, so that tau_kernel keeps its (a, budget) signature for the
+# scan's positional call and for everything that wraps or replaces that
+# call.  A scan sets it around each of its tau_kernel calls only, so no
+# other call ever sees the scan's table.
+_SHARED: ContextVar[_ResidueShare | None] = ContextVar("bplinks_residue_share", default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
 
 from .arith import to_jsonable
-from .lattice import SignatureResult, tau_brute, tau_kernel
+from .lattice import _SHARED, SignatureResult, _ResidueShare, tau_brute, tau_kernel
 from .stability import StabilityReport, _stability_report, k_stability
 from .topology import (
     EvenDiffeoClass,
@@ -77,11 +77,17 @@ def scan_links(
 
     n is checked once; every vector is sorted with entries >= 2 by
     construction.  For even n the signature is cached(a) when that is not
-    None, else tau_kernel(a) under the default budget.
+    None, else tau_kernel(a) under the default budget.  Those tau_kernel
+    calls share one lattice._ResidueShare: the walk visits every (A, B)
+    under one a[:-2] in a row, so the residue DP's outer list is built once
+    per prefix, and its window counts are shared across the scan.  The
+    share is set around each call only and emptied when the walk ends,
+    raises or is abandoned.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
     top = amax + 1
+    share = _ResidueShare()
 
     def leaf(a, comps, p, num, d):
         sphere = _sphere_from_graph(_graph_from_components(a, tuple(c for c, _ in comps)))
@@ -90,7 +96,11 @@ def scan_links(
         if n % 2 == 0:
             signature = cached(a) if cached is not None else None
             if signature is None:
-                signature = tau_kernel(a)
+                token = _SHARED.set(share)
+                try:
+                    signature = tau_kernel(a)
+                finally:
+                    _SHARED.reset(token)
         return _link_report(a, a, sphere, stability, signature)
 
     def walk(prefix, comps, p, num, d):
@@ -103,7 +113,10 @@ def scan_links(
             else:
                 yield leaf(a, joined, p * v, num * v + p, lcm(d, v))
 
-    yield from walk((), (), 1, 0, 1)
+    try:
+        yield from walk((), (), 1, 0, 1)
+    finally:
+        share.clear()
 
 
 def _link_report(

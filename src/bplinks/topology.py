@@ -82,29 +82,26 @@ class GcdGraph:
 
 def build_gcd_graph(a: Sequence[int]) -> GcdGraph:
     a = exponent_vector(a)
-    n1 = len(a)
-    # label each vertex with its component number; a search from the least
-    # unlabelled index numbers components in least-index order and never
-    # takes the gcd of a pair whose second vertex is already labelled
-    label = [-1] * n1
-    count = 0
-    for start in range(n1):
-        if label[start] >= 0:
-            continue
-        label[start] = count
-        stack = [start]
+    # a search from the least unlabelled index numbers components in
+    # least-index order; each popped vertex is tested against the indices
+    # still unlabelled only, so the gcds number O(n * components)
+    rest = range(len(a))
+    groups = []
+    while rest:
+        start, *rest = rest
+        group, stack = [start], [a[start]]
         while stack:
-            i = stack.pop()
-            ai = a[i]
-            for j in range(start + 1, n1):
-                if label[j] < 0 and gcd(ai, a[j]) > 1:
-                    label[j] = count
-                    stack.append(j)
-        count += 1
-    groups: list[list[int]] = [[] for _ in range(count)]
-    for i in range(n1):
-        groups[label[i]].append(i)
-    return _graph_from_components(a, tuple(map(tuple, groups)))
+            ai = stack.pop()
+            keep = []
+            for j in rest:
+                if gcd(ai, a[j]) > 1:
+                    group.append(j)
+                    stack.append(a[j])
+                else:
+                    keep.append(j)
+            rest = keep
+        groups.append(tuple(sorted(group)))
+    return _graph_from_components(a, tuple(groups))
 
 
 def _graph_from_components(a: tuple, components: tuple) -> GcdGraph:

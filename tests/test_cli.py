@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bplinks import cli, families, report, topology
+from bplinks import cli, families, lattice, report, topology
 from bplinks.cli import main
 from bplinks.report import classify_link, report_to_dict
 
@@ -279,6 +279,33 @@ def _strip_timing(records):
     return out
 
 
+def test_scan_with_a_filling_window_table_prints_the_same_bytes(capsys, monkeypatch):
+    assert main(["scan", "--n", "4", "--amax", "9"]) == 0
+    want = capsys.readouterr()
+    calls = []
+    window_counts = lattice._window_counts
+    monkeypatch.setattr(lattice, "_window_counts", lambda *a: calls.append(a) or window_counts(*a))
+    monkeypatch.setattr(lattice, "_WINDOW_TABLE_CAP", 50)  # emptied about every 50 misses
+    assert main(["scan", "--n", "4", "--amax", "9"]) == 0
+    got = capsys.readouterr()
+    assert len(set(calls)) > 50 and len(calls) > len(set(calls))  # it filled and refilled
+    assert (got.out, got.err) == (want.out, want.err)
+
+
+@pytest.mark.parametrize("budget, first", [(20, 184), (40, 256), (200, 534)])
+def test_scan_refuses_at_the_vector_and_with_the_message_of_tau(capsys, monkeypatch, budget, first):
+    # the first vector of scan --n 4 --amax 9 whose outer DP costs more than
+    # the budget refuses, after the earlier ones have filled the window table
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", str(budget))
+    vectors = list(combinations_with_replacement(range(2, 10), 5))
+    code, lines, err = run_cli(capsys, "scan", "--n", "4", "--amax", "9")
+    assert code == 1 and [r["vector"] for r in lines] == [list(v) for v in vectors[:first]]
+    assert run_cli(capsys, "tau", *map(str, vectors[first])) == (1, [], err)
+    assert f"(budget {budget})" in err
+    for v in vectors[:first]:
+        lattice.tau_kernel(v)  # no earlier vector refuses on its own
+
+
 # SHA-256 over every field of every scan record (one sorted-key JSON line
 # each, without the timing field): a faster classification path must
 # reproduce the records bit for bit.
@@ -444,6 +471,18 @@ def test_usage_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "classify", "2", "2", "2")  # too few exponents
     assert code == 2
     assert "error" in err
+
+
+def test_classify_of_a_long_vector_with_few_components_is_quick(capsys):
+    # the gcd graph's search tests only the indices still unlabelled: after
+    # the first 3 the twenty thousand 3s are one component, so each later 3
+    # is tested against 5 and 7 alone
+    start = time.perf_counter()
+    code, lines, _ = run_cli(capsys, "classify", *["3"] * 20000, "5", "7")
+    assert time.perf_counter() - start < 2
+    assert code == 0 and lines[0]["homotopy_sphere"] is True
+    assert lines[0]["graph"]["isolated"] == [5, 7]
+    assert [len(c) for c in lines[0]["graph"]["components"]] == [20000, 1, 1]
 
 
 def test_refusal_exits_1(capsys):

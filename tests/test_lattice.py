@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bplinks.errors import RefusalError
+from bplinks import lattice
+from bplinks.errors import InvariantViolation, RefusalError
 from bplinks.lattice import (
     _count_eq_2d,
     _dedekind_d,
@@ -207,24 +208,55 @@ def test_window_counts_examples():
     assert _window_counts(0, 1, 2, 3) == (1, 1, 0)  # 5/6 -> +1, 7/6 -> -1
 
 
+def oracle_window(c, A, B):
+    """(plus, minus, boundary) of c + x/A + y/B over 0 < x < A, 0 < y < B
+    by enumeration."""
+    plus = minus = boundary = 0
+    for x in range(1, A):
+        for y in range(1, B):
+            r = (c + Fraction(x, A) + Fraction(y, B)) % 2
+            if r == 0 or r == 1:
+                boundary += 1
+            elif r < 1:
+                plus += 1
+            else:
+                minus += 1
+    return plus, minus, boundary
+
+
 def test_window_counts_matches_enumeration():
     rng = random.Random(42)
     for _ in range(150):
         A, B = rng.randint(2, 12), rng.randint(2, 12)
         c = Fraction(rng.randint(0, 40), rng.randint(1, 12))
-        plus = minus = boundary = 0
-        for x in range(1, A):
-            for y in range(1, B):
-                r = (c + Fraction(x, A) + Fraction(y, B)) % 2
-                if r == 0 or r == 1:
-                    boundary += 1
-                elif r < 1:
-                    plus += 1
-                else:
-                    minus += 1
         L = c.denominator
         got = _window_counts(c.numerator % (2 * L), L, A, B)
-        assert got == (plus, minus, boundary), (c, A, B)
+        assert got == oracle_window(c, A, B), (c, A, B)
+
+
+# The residue DP's window table is keyed by (num, den, A, B) with num/den
+# = (r mod L)/L in lowest terms; these are the two facts that make it exact.
+@settings(max_examples=300, deadline=None)
+@given(L=st.integers(1, 12), r=st.integers(0, 11), A=st.integers(2, 9), B=st.integers(2, 9))
+@example(L=1, r=0, A=2, B=2)
+@example(L=12, r=6, A=4, B=6)
+def test_window_counts_depend_on_the_reduced_offset_only(L, r, A, B):
+    r %= 2 * L
+    g = gcd(r, L)
+    got = _window_counts(r, L, A, B)
+    assert got == _window_counts(r // g, L // g, A, B)
+    assert got == oracle_window(Fraction(r, L), A, B)
+
+
+@settings(max_examples=300, deadline=None)
+@given(L=st.integers(1, 12), r=st.integers(0, 11), A=st.integers(2, 9), B=st.integers(2, 9))
+@example(L=1, r=0, A=2, B=2)
+@example(L=6, r=3, A=2, B=3)
+def test_window_counts_shift_by_one_swaps_plus_and_minus(L, r, A, B):
+    r %= L
+    plus, minus, boundary = _window_counts(r, L, A, B)
+    assert _window_counts(r + L, L, A, B) == (minus, plus, boundary)
+    assert (minus, plus, boundary) == oracle_window(Fraction(r + L, L), A, B)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +303,31 @@ def test_tau_kernel_matches_brute_with_even_outer_length():
             b.minus_count,
             b.boundary_skipped,
         ), a
+
+
+def test_lone_tau_kernel_counts_each_reduced_offset_once(monkeypatch):
+    seen = []
+
+    def counting(r, L, A, B):
+        seen.append((r, L, A, B))
+        return _window_counts(r, L, A, B)
+
+    monkeypatch.setattr(lattice, "_window_counts", counting)
+    for a in itertools.combinations_with_replacement(range(2, 8), 5):
+        seen.clear()
+        k = tau_kernel(a)
+        assert len(seen) == len(set(seen)), a  # r and r + L share one count
+        assert all(r < L and gcd(r, L) == 1 or (r, L) == (0, 1) for r, L, _, _ in seen), a
+        b = tau_brute(a)
+        assert (k.tau, k.plus_count, k.minus_count) == (b.tau, b.plus_count, b.minus_count), a
+    assert lattice._SHARED.get() is None
+
+
+def test_residue_dp_still_checks_the_mirror_pairs(monkeypatch):
+    # an lcm that the outer exponents do not divide breaks the flip's pairing
+    monkeypatch.setattr(lattice, "lcm", lambda *v: lcm(*v) + 1)
+    with pytest.raises(InvariantViolation, match="the flip x -> a - x pairs them"):
+        tau_kernel((2, 3, 4, 5, 7))
 
 
 def test_tau_matches_rational_oracle_small():
