@@ -301,13 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="full classification of one link")
     p.add_argument("exponents", type=int, nargs="+")
     p.add_argument("--method", choices=["brute", "kernel"], default="kernel")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_int_at_least(0), default=None)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("tau", help="Milnor-fiber signature only")
     p.add_argument("exponents", type=int, nargs="+")
     p.add_argument("--method", choices=["brute", "kernel"], default="kernel")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_int_at_least(0), default=None)
     p.set_defaults(func=_cmd_tau)
 
     p = sub.add_parser("qpfit", help="fit the signature quasi-polynomial of the exotic family")

@@ -17,11 +17,17 @@ _BUDGET_ENV = "BPLINKS_TAU_BUDGET"
 
 
 def _resolve_budget(budget: int | None) -> int:
-    """An explicit budget, else BPLINKS_TAU_BUDGET, else DEFAULT_BUDGET."""
+    """An explicit budget, else BPLINKS_TAU_BUDGET, else DEFAULT_BUDGET.  A
+    variable that is not an integer is a ValueError that names it."""
     if budget is not None:
         return budget
     env = os.environ.get(_BUDGET_ENV)
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{_BUDGET_ENV} must be an integer, got {env!r}") from None
 
 
 class RefusalError(RuntimeError):

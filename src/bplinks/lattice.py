@@ -15,24 +15,26 @@ counts are the same or have plus and minus swapped, so one window count
 serves both.  A window depends on the offset r/L only, and shifting the
 offset by 1 swaps plus and minus, so one count of the offset (r mod L)/L
 in lowest terms serves r and r + L, and every vector with the same inner
-box (A, B) whose offsets meet it.  The DP keeps its counts in a table
-keyed by (offset, A, B); a scan shares one table, and the outer list of
-its last prefix a[:-2], across all its vectors (_ResidueShare).  Below an
-edge Bx + Ay <= N with N <= AB the box's upper bounds cannot bind, so each
-edge is one floor sum (_open_box_below), and the same flip covers N > AB.  The same count serves the Fraction front
-end strip_count_2d, which turns its rational threshold into an integer one
-exactly (so there is no epsilon anywhere) and adds the closed lower edges
-x = 0 and y = 0 in closed form.  Points whose
-coordinate sum is an integer fall on a window boundary: they are never
-silently dropped but counted separately (they cannot occur for homotopy
-spheres, so a nonzero boundary count flags a non-sphere input).
+box (A, B) whose offsets meet it.  Both stages of the DP are pure, so each
+is a bounded memo: the window counts keyed by (offset, A, B), and the
+outer list of the last outer exponents a[:-2], which a scan keeps while
+it visits every inner box (A, B) under one prefix.  Below an edge
+Bx + Ay <= N with N <= AB the box's upper bounds cannot bind, so each
+edge is one floor sum (_open_box_below), and the same flip covers N > AB.
+The same count serves the Fraction front end strip_count_2d, which turns
+its rational threshold into an integer one exactly (so there is no
+epsilon anywhere) and adds the closed lower edges x = 0 and y = 0 in
+closed form.  Points whose coordinate sum is an integer fall on a window
+boundary: they are never silently dropped but counted separately (they
+cannot occur for homotopy spheres, so a nonzero boundary count flags a
+non-sphere input).
 """
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm, prod
 from typing import Sequence
 
@@ -305,14 +307,13 @@ def _tau_residue_dp(a: tuple, budget: int | None) -> SignatureResult:
     and only r mod 2L matters.  The DP runs in two stages: _outer_residues
     folds the outer coordinates into one entry per offset num/den =
     (r mod L)/L in lowest terms, and the window loop counts each entry's
-    window over the inner box, calling _window_counts(num, den, A, B) only
-    for a (num, den, A, B) not yet in the table.  A lone call fills a table
-    of its own, which never hits (the entries' offsets are distinct); a
-    scan sets one _ResidueShare around each of its calls (_SHARED), so its
-    vectors share the table and, while their outer exponents repeat, the
-    outer list.  The DP work is estimated from the outer exponents and
-    refused beyond the budget before any table is read, so a vector
-    refuses the same way inside or outside a scan.
+    window over the inner box through _window_memo.  Both stages are
+    bounded memos, so the vectors of a scan that share their outer
+    exponents share one outer list, and every vector shares the window
+    counts of the offsets and inner boxes it meets.  The DP work is
+    estimated from the outer exponents and refused beyond the budget
+    before either memo is read, so a vector refuses the same way whatever
+    was computed before it.
     """
     A, B = a[-2], a[-1]
     outer = a[:-2]
@@ -329,19 +330,9 @@ def _tau_residue_dp(a: tuple, budget: int | None) -> SignatureResult:
             f"tau_kernel would take ~{estimate} residue steps (budget {limit}); "
             "raise --budget or BPLINKS_TAU_BUDGET"
         )
-    share = _SHARED.get() or _ResidueShare()
-    if share.outer != outer:
-        share.outer, share.residues = outer, _outer_residues(a, L)
-    windows = share.windows
     plus = minus = boundary = 0
-    for num, den, same, other, twice in share.residues:
-        key = (num, den, A, B)
-        counts = windows.get(key)
-        if counts is None:
-            if len(windows) >= _WINDOW_TABLE_CAP:
-                windows.clear()
-            counts = windows[key] = _window_counts(num, den, A, B)
-        p, mn, b = counts
+    for num, den, same, other, twice in _outer_residues(outer, L):
+        p, mn, b = _window_memo(num, den, A, B)
         plus += same * p + other * mn
         minus += other * p + same * mn
         boundary += twice * b
@@ -354,16 +345,25 @@ def _tau_residue_dp(a: tuple, budget: int | None) -> SignatureResult:
     )
 
 
-def _outer_residues(a: tuple, L: int) -> list:
-    """The outer stage of the residue DP of a, whose outer exponents a[:-2]
-    have lcm L: one (num, den, same, other, twice) per offset num/den =
-    (r mod L)/L in lowest terms, such that the vector's plus count is the
+@lru_cache(maxsize=1 << 14)
+def _window_memo(num: int, den: int, A: int, B: int):
+    """_window_counts(num, den, A, B), memoised.  It calls _window_counts
+    through the module global, so whatever wraps or replaces that name
+    sees the misses only."""
+    return _window_counts(num, den, A, B)
+
+
+@lru_cache(maxsize=1)
+def _outer_residues(outer: tuple, L: int) -> tuple:
+    """The outer stage of the residue DP for the outer exponents outer,
+    whose lcm is L: one (num, den, same, other, twice) per offset num/den =
+    (r mod L)/L in lowest terms, such that a vector's plus count is the
     sum of same * p + other * m, its minus count that of other * p + same * m,
     and its boundary count that of twice * b, over the window counts
     (p, m, b) = _window_counts(num, den, A, B) of its inner box (A, B).
 
     The DP counts the outer points per residue r mod 2L.  Flipping every
-    coordinate sends r to its mirror (m*L - r) mod 2L (m = len(a) - 2)
+    coordinate sends r to its mirror (m*L - r) mod 2L (m = len(outer))
     with the same outer count, and the whole sum S to m + 2 - S, so the
     mirror's window counts equal r's for odd m and have plus and minus
     swapped for even m, and each pair is counted through its lesser
@@ -371,7 +371,6 @@ def _outer_residues(a: tuple, L: int) -> list:
     per list built.  A residue r >= L has r - L's window with plus and
     minus swapped, so both fold into one entry.
     """
-    outer = a[:-2]
     mod = 2 * L
     counts = {0: 1}
     for ai in outer:  # ascending order keeps intermediate residue maps small
@@ -388,8 +387,8 @@ def _outer_residues(a: tuple, L: int) -> list:
         mirror = (shift - r) % mod
         if counts.get(mirror) != mult:
             raise InvariantViolation(
-                f"residues {r} and {mirror} of {a} have {mult} and "
-                f"{counts.get(mirror)} outer points; the flip x -> a - x pairs them"
+                f"residues {r} and {mirror} of the outer exponents {outer} have {mult} "
+                f"and {counts.get(mirror)} outer points; the flip x -> a - x pairs them"
             )
         if mirror < r:
             continue  # counted with its mirror
@@ -406,36 +405,7 @@ def _outer_residues(a: tuple, L: int) -> list:
     for r, (same, other, twice) in entries.items():
         g = gcd(r, L)
         out.append((r // g, L // g, same, other, twice))
-    return out
-
-
-# At most this many window counts are kept across one scan; a full table is
-# emptied, never grown.
-_WINDOW_TABLE_CAP = 1 << 14
-
-
-class _ResidueShare:
-    """The window-count table and the last outer list of _tau_residue_dp,
-    shared by the calls that see it through _SHARED."""
-
-    __slots__ = ("windows", "outer", "residues")
-
-    def __init__(self):
-        self.windows: dict = {}  # (num, den, A, B) -> _window_counts(num, den, A, B)
-        self.outer: tuple | None = None
-        self.residues: list = []  # _outer_residues of a vector with these outer exponents
-
-    def clear(self) -> None:
-        self.windows.clear()
-        self.outer, self.residues = None, []
-
-
-# The share that _tau_residue_dp uses.  It reaches the DP this way, not as
-# a parameter, so that tau_kernel keeps its (a, budget) signature for the
-# scan's positional call and for everything that wraps or replaces that
-# call.  A scan sets it around each of its tau_kernel calls only, so no
-# other call ever sees the scan's table.
-_SHARED: ContextVar[_ResidueShare | None] = ContextVar("bplinks_residue_share", default=None)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
 
 from .arith import to_jsonable
-from .lattice import _SHARED, SignatureResult, _ResidueShare, tau_brute, tau_kernel
+from .lattice import SignatureResult, _outer_residues, _window_memo, tau_brute, tau_kernel
 from .stability import StabilityReport, _stability_report, k_stability
 from .topology import (
     EvenDiffeoClass,
@@ -77,17 +77,15 @@ def scan_links(
 
     n is checked once; every vector is sorted with entries >= 2 by
     construction.  For even n the signature is cached(a) when that is not
-    None, else tau_kernel(a) under the default budget.  Those tau_kernel
-    calls share one lattice._ResidueShare: the walk visits every (A, B)
-    under one a[:-2] in a row, so the residue DP's outer list is built once
-    per prefix, and its window counts are shared across the scan.  The
-    share is set around each call only and emptied when the walk ends,
-    raises or is abandoned.
+    None, else tau_kernel(a) under the default budget.  The walk visits
+    every (A, B) under one a[:-2] in a row, so the residue DP's one-entry
+    outer memo builds one outer list per prefix, and its window memo is
+    shared across the scan.  Both memos are emptied when the walk starts,
+    so every scan starts cold.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
     top = amax + 1
-    share = _ResidueShare()
 
     def leaf(a, comps, p, num, d):
         sphere = _sphere_from_graph(_graph_from_components(a, tuple(c for c, _ in comps)))
@@ -96,11 +94,7 @@ def scan_links(
         if n % 2 == 0:
             signature = cached(a) if cached is not None else None
             if signature is None:
-                token = _SHARED.set(share)
-                try:
-                    signature = tau_kernel(a)
-                finally:
-                    _SHARED.reset(token)
+                signature = tau_kernel(a)
         return _link_report(a, a, sphere, stability, signature)
 
     def walk(prefix, comps, p, num, d):
@@ -113,10 +107,9 @@ def scan_links(
             else:
                 yield leaf(a, joined, p * v, num * v + p, lcm(d, v))
 
-    try:
-        yield from walk((), (), 1, 0, 1)
-    finally:
-        share.clear()
+    _outer_residues.cache_clear()
+    _window_memo.cache_clear()
+    yield from walk((), (), 1, 0, 1)
 
 
 def _link_report(

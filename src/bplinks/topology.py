@@ -81,27 +81,20 @@ class GcdGraph:
 
 
 def build_gcd_graph(a: Sequence[int]) -> GcdGraph:
+    """The gcd graph of a: _join_vertex, the rule scan_links applies at each
+    step of its walk, folded over the sorted entries.  A repeated value
+    joins the component of its first copy (gcd(v, v) = v > 1) and fuses
+    nothing more, so the fold joins the first index of each run of equal
+    entries only, and the run's other indices follow it."""
     a = exponent_vector(a)
-    # a search from the least unlabelled index numbers components in
-    # least-index order; each popped vertex is tested against the indices
-    # still unlabelled only, so the gcds number O(n * components)
-    rest = range(len(a))
-    groups = []
-    while rest:
-        start, *rest = rest
-        group, stack = [start], [a[start]]
-        while stack:
-            ai = stack.pop()
-            keep = []
-            for j in rest:
-                if gcd(ai, a[j]) > 1:
-                    group.append(j)
-                    stack.append(a[j])
-                else:
-                    keep.append(j)
-            rest = keep
-        groups.append(tuple(sorted(group)))
-    return _graph_from_components(a, tuple(groups))
+    starts = [i for i in range(len(a)) if i == 0 or a[i] != a[i - 1]]
+    comps = ()
+    for i in starts:
+        comps = _join_vertex(comps, i, a[i])
+    ends = dict(zip(starts, starts[1:] + [len(a)]))
+    return _graph_from_components(
+        a, tuple(tuple(j for i in c for j in range(i, ends[i])) for c, _ in comps)
+    )
 
 
 def _graph_from_components(a: tuple, components: tuple) -> GcdGraph:

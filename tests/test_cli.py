@@ -6,13 +6,14 @@ import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bplinks import cli, families, lattice, report, topology
+from bplinks import arith, cli, families, lattice, report, topology
 from bplinks.cli import main
 from bplinks.report import classify_link, report_to_dict
 
@@ -279,23 +280,23 @@ def _strip_timing(records):
     return out
 
 
-def test_scan_with_a_filling_window_table_prints_the_same_bytes(capsys, monkeypatch):
+def test_scan_with_both_residue_memos_bypassed_prints_the_same_bytes(capsys, monkeypatch):
     assert main(["scan", "--n", "4", "--amax", "9"]) == 0
     want = capsys.readouterr()
-    calls = []
-    window_counts = lattice._window_counts
-    monkeypatch.setattr(lattice, "_window_counts", lambda *a: calls.append(a) or window_counts(*a))
-    monkeypatch.setattr(lattice, "_WINDOW_TABLE_CAP", 50)  # emptied about every 50 misses
+    windows, outers = [], []
+    window_counts, outer_residues = lattice._window_counts, lattice._outer_residues.__wrapped__
+    monkeypatch.setattr(lattice, "_window_memo", lambda *a: windows.append(a) or window_counts(*a))
+    monkeypatch.setattr(lattice, "_outer_residues", lambda *a: outers.append(a) or outer_residues(*a))
     assert main(["scan", "--n", "4", "--amax", "9"]) == 0
     got = capsys.readouterr()
-    assert len(set(calls)) > 50 and len(calls) > len(set(calls))  # it filled and refilled
+    assert (len(windows), len(outers)) == (7453, 774)  # one per loop step and per DP vector
     assert (got.out, got.err) == (want.out, want.err)
 
 
 @pytest.mark.parametrize("budget, first", [(20, 184), (40, 256), (200, 534)])
 def test_scan_refuses_at_the_vector_and_with_the_message_of_tau(capsys, monkeypatch, budget, first):
     # the first vector of scan --n 4 --amax 9 whose outer DP costs more than
-    # the budget refuses, after the earlier ones have filled the window table
+    # the budget refuses, after the earlier ones have filled the window memo
     monkeypatch.setenv("BPLINKS_TAU_BUDGET", str(budget))
     vectors = list(combinations_with_replacement(range(2, 10), 5))
     code, lines, err = run_cli(capsys, "scan", "--n", "4", "--amax", "9")
@@ -474,9 +475,8 @@ def test_usage_error_exits_2(capsys):
 
 
 def test_classify_of_a_long_vector_with_few_components_is_quick(capsys):
-    # the gcd graph's search tests only the indices still unlabelled: after
-    # the first 3 the twenty thousand 3s are one component, so each later 3
-    # is tested against 5 and 7 alone
+    # the gcd graph joins each run of equal entries once: the twenty
+    # thousand 3s are one join, then 5 and 7 are tested against its lcm
     start = time.perf_counter()
     code, lines, _ = run_cli(capsys, "classify", *["3"] * 20000, "5", "7")
     assert time.perf_counter() - start < 2
@@ -513,6 +513,24 @@ def test_kernel_budget_refusal_exits_1(capsys, monkeypatch):
     assert time.perf_counter() - start < 1
     assert code == 1
     assert "~2081992858 " in err and "(budget 100000000)" in err
+
+
+def test_negative_budget_is_a_usage_error(capsys):
+    for cmd in ("tau", "classify"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "2", "3", "5", "7", "11", "--budget", "-1"])
+        assert exc.value.code == 2
+        assert "--budget: must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_non_integer_budget_variable_is_named(capsys, monkeypatch):
+    # the closed-form vector takes no DP steps; its bP order reads the budget
+    # while the Bernoulli table is extended, as in a fresh process
+    monkeypatch.setattr(arith, "_bernoulli", [Fraction(1), Fraction(-1, 2)])
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "abc")
+    code, lines, err = run_cli(capsys, "classify", "2", "2", "338", "339", "341")
+    assert code == 2 and lines == []
+    assert err == "error: BPLINKS_TAU_BUDGET must be an integer, got 'abc'\n"
 
 
 def test_closed_form_tau_ignores_budget(capsys):

@@ -320,7 +320,24 @@ def test_lone_tau_kernel_counts_each_reduced_offset_once(monkeypatch):
         assert all(r < L and gcd(r, L) == 1 or (r, L) == (0, 1) for r, L, _, _ in seen), a
         b = tau_brute(a)
         assert (k.tau, k.plus_count, k.minus_count) == (b.tau, b.plus_count, b.minus_count), a
-    assert lattice._SHARED.get() is None
+
+
+def test_outer_residues_fold_each_residue_into_its_reduced_offset():
+    outer_residues = lattice._outer_residues.__wrapped__  # the memo would hide repeats
+    for m in (1, 2, 3):
+        for outer in itertools.combinations_with_replacement(range(2, 9), m):
+            entries = outer_residues(outer, lcm(*outer))
+            offsets = [(num, den) for num, den, *_ in entries]
+            assert len(offsets) == len(set(offsets)), outer  # r and r + L share one entry
+            assert all(num < den and gcd(num, den) == 1 or (num, den) == (0, 1) for num, den in offsets)
+            points = prod(ai - 1 for ai in outer)
+            assert sum(same + other for _, _, same, other, _ in entries) == points, outer
+            assert sum(twice for *_, twice in entries) == points, outer
+
+
+def test_residue_memos_are_bounded():
+    assert lattice._window_memo.cache_info().maxsize == 1 << 14
+    assert lattice._outer_residues.cache_info().maxsize == 1
 
 
 def test_residue_dp_still_checks_the_mirror_pairs(monkeypatch):

@@ -3,8 +3,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bplinks import lattice, report
-from bplinks.errors import RefusalError
+from bplinks import lattice
 from bplinks.report import classify_link, report_to_dict, scan_links
 from bplinks.topology import arf_class, classify_sphere
 
@@ -67,47 +66,14 @@ def _counting_window_calls(monkeypatch):
 
 
 def test_scan_shares_window_counts_and_leaves_no_table(monkeypatch):
-    # n = 4, amax = 9: 774 residue-DP vectors over 120 outer maps; one
-    # window count per mirror pair would be 9 048 calls
+    # n = 4, amax = 9: 774 residue-DP vectors over 120 outer lists, whose
+    # window loop steps 7 453 times; every scan starts with both memos cold
     calls = _counting_window_calls(monkeypatch)
-    first = [r.signature for r in scan_links(4, 9)]
-    cold = len(calls)
-    calls.clear()
-    second = [r.signature for r in scan_links(4, 9)]
-    assert len(calls) == cold < 9048
-    assert second == first
-    assert lattice._SHARED.get() is None
-
-
-def test_abandoned_or_failed_scan_leaves_no_table(monkeypatch):
-    shares = []
-
-    class Recorded(lattice._ResidueShare):
-        def __init__(self):
-            super().__init__()
-            shares.append(self)
-
-    monkeypatch.setattr(report, "_ResidueShare", Recorded)
-    scan = scan_links(4, 9)
-    for _ in zip(range(300), scan):
-        assert lattice._SHARED.get() is None  # the share is set around tau_kernel only
-    share = shares[-1]
-    assert share.windows and share.outer is not None
-    del scan  # abandoned mid-walk
-    assert share.windows == {} and share.outer is None
-
-    scan = scan_links(4, 9)
-    next(scan)
-    scan.close()
-    assert shares[-1].windows == {} and shares[-1].outer is None
-
-    # (2, 4, 8, 8, 8), the 257th vector, is the first whose outer DP costs more than 40
-    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "40")
-    done = []
-    with pytest.raises(RefusalError, match=r"~41 residue steps \(budget 40\)"):
-        for rep in scan_links(4, 9):
-            done.append(rep.vector)
-    assert len(done) == 256
-    assert shares[-1].windows == {} and shares[-1].outer is None
-    assert lattice._SHARED.get() is None
+    signatures = []
+    for _ in range(2):  # a second scan in one process counts the same
+        calls.clear()
+        signatures.append([r.signature for r in scan_links(4, 9)])
+        assert len(calls) == lattice._window_memo.cache_info().misses == 2013
+        assert lattice._outer_residues.cache_info().misses == 120
+    assert signatures[0] == signatures[1]
 
