@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from .errors import RefusalError, _resolve_budget
+from .errors import check_budget
 
 __all__ = ["BPOrder", "bernoulli_even", "bp_order", "bounded_compositions", "to_jsonable"]
 
@@ -35,12 +35,7 @@ def _extend_bernoulli(upto: int) -> None:
     # Adding B_k sums k Fractions whose numerators grow like k log k bits, so
     # the work of the even k still to add is estimated as the sum of k^2.
     estimate = _sum_even_squares(upto) - _sum_even_squares(len(_bernoulli) - 1)
-    limit = _resolve_budget(None)
-    if estimate > limit:
-        raise RefusalError(
-            f"Bernoulli numbers up to B_{upto} would take ~{estimate} term steps "
-            f"(budget {limit}); raise BPLINKS_TAU_BUDGET"
-        )
+    check_budget(f"Bernoulli numbers up to B_{upto}", estimate, "term steps")
     while len(_bernoulli) <= upto:
         n = len(_bernoulli)
         if n % 2 == 1:
@@ -55,7 +50,7 @@ def bernoulli_even(m2: int) -> Fraction:
 
     Values are memoised, and a value already in the table is returned
     before anything is estimated or the budget read.  Extending the table is
-    estimated first and refused with RefusalError past the package budget
+    estimated first and checked by check_budget against the package budget
     (default 10^8, env override BPLINKS_TAU_BUDGET), so bp_order(100000)
     refuses at once."""
     if m2 < 2 or m2 % 2 != 0:

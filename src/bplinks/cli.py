@@ -7,7 +7,8 @@ The signature budget (points for tau_brute, residue-DP steps for
 tau_kernel) is set by --budget or the BPLINKS_TAU_BUDGET environment
 variable and bounds both methods; tau_kernel's closed form for
 (2, 2, a, b, c) with a, b, c pairwise coprime takes no DP steps, so the
-budget never refuses it.
+budget never refuses it.  The gcd graph, Bernoulli table and moduli read
+BPLINKS_TAU_BUDGET only; every budget refusal prints its estimate and limit.
 
 scan iterates report.scan_links, which walks the sorted vectors and checks
 --n >= 3 once (argparse makes a smaller n a usage error before any work).

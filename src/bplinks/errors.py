@@ -3,9 +3,9 @@
 Exit-code mapping used by the CLI: usage errors exit 2 (argparse),
 RefusalError exits 1, InvariantViolation exits 3.
 
-The work budget that every estimate-then-refuse computation checks against
-lives here too: arith, lattice and moduli all read it, and this module
-imports nothing of the package, so none of them needs another's import.
+The work budget lives here too, with check_budget, the one decision of
+every estimate-then-refuse computation.  This module imports nothing of the
+package, so arith, lattice, moduli and topology all call it directly.
 """
 
 from __future__ import annotations
@@ -30,11 +30,23 @@ def _resolve_budget(budget: int | None) -> int:
         raise ValueError(f"{_BUDGET_ENV} must be an integer, got {env!r}") from None
 
 
+def check_budget(work, estimate, unit, budget=None, hint="raise BPLINKS_TAU_BUDGET") -> None:
+    """Refuse work of ~estimate units past the limit _resolve_budget(budget),
+    as "<work> would take ~<estimate> <unit> (budget <limit>); <hint>"."""
+    limit = _resolve_budget(budget)
+    if estimate > limit:
+        err = RefusalError(f"{work} would take ~{estimate} {unit} (budget {limit}); {hint}")
+        err.estimate, err.budget = estimate, limit
+        raise err
+
+
 class RefusalError(RuntimeError):
     """A well-formed request the tool declines to compute (budget, missing
-    primes, parameter regime).  The message says why and what to do instead."""
+    primes, parameter regime).  The message says why and what to do instead;
+    a budget refusal also keeps its estimate and budget, else both are None."""
 
     exit_code = 1
+    estimate = budget = None  # set by check_budget on a budget refusal
 
 
 class InvariantViolation(RuntimeError):

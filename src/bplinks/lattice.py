@@ -38,7 +38,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm, prod
 from typing import Sequence
 
-from .errors import DEFAULT_BUDGET, InvariantViolation, RefusalError, _resolve_budget
+from .errors import DEFAULT_BUDGET, InvariantViolation, check_budget
 from .topology import exponent_vector
 
 __all__ = [
@@ -187,17 +187,13 @@ def tau_brute(a: Sequence[int], budget: int | None = None) -> SignatureResult:
 
     Works in integers: with d = lcm(a_i) and w_i = d/a_i, the residue of
     d * sum(x_i/a_i) mod 2d lands in (0, d) for a +1 point and (d, 2d) for
-    a -1 point.  Refuses beyond the point budget (default 10^8, env
-    override BPLINKS_TAU_BUDGET).
+    a -1 point.  The box points are checked first by check_budget (default
+    10^8, env override BPLINKS_TAU_BUDGET).
     """
     a = exponent_vector(a)
-    points = prod(ai - 1 for ai in a)
-    limit = _resolve_budget(budget)
-    if points > limit:
-        raise RefusalError(
-            f"tau_brute would enumerate {points} points (budget {limit}); "
-            "use tau_kernel instead"
-        )
+    check_budget(
+        "tau_brute", prod(ai - 1 for ai in a), "box points", budget, "use tau_kernel instead"
+    )
     d = lcm(*a)
     mod = 2 * d
     counts = {0: 1}
@@ -281,7 +277,7 @@ def tau_kernel(a: Sequence[int], budget: int | None = None) -> SignatureResult:
     steps, so the budget does not apply and it never refuses.
 
     Every other vector takes the residue DP (_tau_residue_dp), whose work
-    is estimated first and refused beyond the budget (default 10^8, env
+    is estimated first and checked by check_budget (default 10^8, env
     override BPLINKS_TAU_BUDGET).
     """
     a = exponent_vector(a)
@@ -324,12 +320,9 @@ def _tau_residue_dp(a: tuple, budget: int | None) -> SignatureResult:
         estimate += states * (ai - 1)
         states = min(states * (ai - 1), mod)
     estimate += states  # one window count per residue
-    limit = _resolve_budget(budget)
-    if estimate > limit:
-        raise RefusalError(
-            f"tau_kernel would take ~{estimate} residue steps (budget {limit}); "
-            "raise --budget or BPLINKS_TAU_BUDGET"
-        )
+    check_budget(
+        "tau_kernel", estimate, "residue steps", budget, "raise --budget or BPLINKS_TAU_BUDGET"
+    )
     plus = minus = boundary = 0
     for num, den, same, other, twice in _outer_residues(outer, L):
         p, mn, b = _window_memo(num, den, A, B)
@@ -470,15 +463,10 @@ def count_box(spec: CountSpec, budget: int | None = None) -> int:
     """Exact count for a CountSpec by visiting every point, one Fraction
     sum per coordinate: the independent oracle for delta_closed and
     beta_via_gamma.  The points are estimated first (the product of the
-    coordinate ranges) and refused beyond the budget (default 10^8, env
+    coordinate ranges) and checked by check_budget (default 10^8, env
     override BPLINKS_TAU_BUDGET)."""
     estimate = prod(_coord_range_size(spec, i) for i in range(len(spec.denoms)))
-    limit = _resolve_budget(budget)
-    if estimate > limit:
-        raise RefusalError(
-            f"count_box would visit ~{estimate} points (budget {limit}); "
-            "raise the budget or BPLINKS_TAU_BUDGET"
-        )
+    check_budget("count_box", estimate, "points", budget, "raise the budget or BPLINKS_TAU_BUDGET")
     k = len(spec.denoms)
     total = 0
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
-from .errors import InvariantViolation, RefusalError, _resolve_budget
+from .errors import InvariantViolation, RefusalError, check_budget
 from .stability import k_stability
 from .families import exotic_vector
 from .quasipoly import _poly_eval
@@ -74,8 +74,8 @@ def moduli_dimension(n: int, p: int, l: int) -> ModuliDimension:
     so it holds every h^0(d_i) too.  The closed form needs p, p+1, p+l
     distinct from 2 and from each other, so p < 4 or l < 2 is refused before
     exotic_vector checks the shape.  The DP's table steps are estimated first
-    and refused beyond the package budget (default 10^8, env override
-    BPLINKS_TAU_BUDGET)."""
+    and checked by check_budget against the package budget (default 10^8,
+    env override BPLINKS_TAU_BUDGET)."""
     if n < 6:
         raise ValueError("moduli_dimension requires n >= 6")
     if p < 4 or l < 2:
@@ -86,13 +86,7 @@ def moduli_dimension(n: int, p: int, l: int) -> ModuliDimension:
     stab = k_stability(exotic_vector(n, p, l))
     d, weights = stab.d, stab.weights
     # one addition per table entry at or past each weight
-    estimate = sum(d - w + 1 for w in weights)
-    limit = _resolve_budget(None)
-    if estimate > limit:
-        raise RefusalError(
-            f"moduli_dimension would take ~{estimate} table steps (budget {limit}); "
-            "raise BPLINKS_TAU_BUDGET"
-        )
+    check_budget("moduli_dimension", sum(d - w + 1 for w in weights), "table steps")
     table = _monomial_table(weights, d)
     h0_sum = sum(table[w] for w in weights)
     closed = comb(p + n - 4, n - 4) - (n - 3) ** 2 - 1

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .arith import BPOrder, bp_order
-from .errors import InvariantViolation
+from .errors import InvariantViolation, check_budget
 
 __all__ = [
     "ExponentVector",
@@ -85,9 +85,12 @@ def build_gcd_graph(a: Sequence[int]) -> GcdGraph:
     step of its walk, folded over the sorted entries.  A repeated value
     joins the component of its first copy (gcd(v, v) = v > 1) and fuses
     nothing more, so the fold joins the first index of each run of equal
-    entries only, and the run's other indices follow it."""
+    entries only, and the run's other indices follow it.  With s distinct
+    entries the fold makes at most s(s-1)/2 gcd tests, checked first by
+    check_budget (default 10^8, env BPLINKS_TAU_BUDGET): s > 14142 refuses."""
     a = exponent_vector(a)
     starts = [i for i in range(len(a)) if i == 0 or a[i] != a[i - 1]]
+    check_budget("build_gcd_graph", len(starts) * (len(starts) - 1) // 2, "gcd tests")
     comps = ()
     for i in starts:
         comps = _join_vertex(comps, i, a[i])
@@ -179,13 +182,18 @@ def _sphere_from_graph(g: GcdGraph) -> SphereClassification:
 
 
 def _ev_component_ok(g: GcdGraph) -> bool:
+    """Odd size and pairwise gcds all 2, i.e. every entry is 2b with the
+    halves b pairwise coprime: each half is checked against those before."""
     ev = g.ev_component
     if len(ev) % 2 == 0:  # empty or even size fails
         return False
-    vals = [g.vertices[i] for i in ev]
-    return all(
-        gcd(vals[i], vals[j]) == 2 for i in range(len(vals)) for j in range(i + 1, len(vals))
-    )
+    before = 1
+    for i in ev:
+        half, odd = divmod(g.vertices[i], 2)
+        if odd or gcd(half, before) != 1:
+            return False
+        before *= half
+    return True
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 import random
+import time
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bplinks import topology
-from bplinks.errors import InvariantViolation
+from bplinks.errors import InvariantViolation, RefusalError
 from bplinks.topology import (
     COND1,
     COND2,
@@ -74,6 +75,50 @@ def test_gcd_graph_split_even_entries_raise_without_assert(monkeypatch):
     monkeypatch.setattr(topology, "gcd", lambda x, y: 1)
     with pytest.raises(InvariantViolation):
         build_gcd_graph((2, 3, 4, 5))
+
+
+def test_gcd_graph_refuses_many_distinct_entries_quickly(monkeypatch):
+    # 20 000 distinct entries: at most 20000 * 19999 / 2 gcd tests
+    monkeypatch.delenv("BPLINKS_TAU_BUDGET", raising=False)
+    start = time.perf_counter()
+    with pytest.raises(RefusalError) as err:
+        classify_sphere(range(2, 20002))
+    assert time.perf_counter() - start < 1
+    assert (err.value.estimate, err.value.budget) == (199990000, 10**8)
+
+
+def oracle_condition(a):
+    """Brieskorn's trichotomy with condition (2)'s ev-component checked pair
+    by pair, on the closure oracle's graph."""
+    vertices, _, isolated, ev = oracle_gcd_graph(a)
+    if len(isolated) >= 2:
+        return COND1
+    if len(isolated) == 1 and vertices[isolated[0]] % 2 == 1 and len(ev) % 2 == 1:
+        vals = [vertices[i] for i in ev]
+        if all(gcd(x, y) == 2 for k, x in enumerate(vals) for y in vals[k + 1:]):
+            return COND2
+    return None
+
+
+# halves of the even entries: 1, primes and composites, so the halves are
+# sometimes pairwise coprime (condition 2) and sometimes not
+_HALVES = (1, 1, 2, 3, 5, 7, 11, 13, 4, 6, 9, 10, 15, 21, 25, 35)
+
+
+@given(
+    st.integers(1, 60).map(lambda k: 2 * k + 1),
+    st.lists(st.sampled_from(_HALVES).map(lambda b: 2 * b), min_size=3, max_size=11),
+)
+def test_ev_component_matches_pairwise_oracle(odd, evens):
+    a = evens + [odd]
+    assert classify_sphere(a).condition == oracle_condition(a)
+
+
+def test_long_ev_component_classifies_quickly():
+    start = time.perf_counter()
+    cls = classify_sphere((2,) * 20001 + (3,))
+    assert time.perf_counter() - start < 1
+    assert cls.condition == COND2
 
 
 def test_classify_sphere_examples():
