@@ -2,8 +2,9 @@
 
 Decides homotopy-sphere status, Sasaki-Einstein existence via the
 K-stability inequality, and the diffeomorphism class in bP_{2n} from the
-Milnor-fiber signature, with quasi-polynomial certification of the
-signature along the exotic infinite family.
+Milnor-fiber signature, with the signature along the exotic infinite
+family fitted and checked as one integer forward-difference table in q,
+printed in the power basis of p.
 """
 
 __version__ = "0.1.0"
@@ -32,7 +33,6 @@ from .lattice import (
     tau_kernel,
 )
 from .moduli import maslov_index, mean_euler, moduli_dimension, weighted_monomial_count
-from .quasipoly import QuasiPolynomial, qp_eval, qp_fit, qp_verify
 from .report import LinkReport, classify_link, report_to_dict
 from .stability import contact_obstruction, fujita_subset_oracle, k_stability
 from .topology import (

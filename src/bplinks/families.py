@@ -17,7 +17,7 @@ from .arith import bp_order, to_jsonable
 from .errors import InvariantViolation, RefusalError
 from .lattice import tau_kernel
 from .primes import is_prime
-from .quasipoly import QuasiPolynomial, qp_fit, qp_verify
+from .quasipoly import DifferenceTable, qp_fit, qp_verify
 from .stability import k_stability
 from .topology import COND1, COND2, classify_sphere, exponent_vector
 
@@ -216,18 +216,25 @@ def brieskorn_reference(m: int, k: int, sign: int) -> FamilySpec:
 
 @dataclass
 class TauFit:
-    qp: QuasiPolynomial
+    table: DifferenceTable
     family: dict
     samples: tuple  # (q, p, tau)
     degree_used: int
-    verify: Optional[tuple] = field(default=None)  # (q, p, qp value, tau)
+    verify: Optional[tuple] = field(default=None)  # (p, table value, tau)
 
     def to_json_dict(self) -> dict:
+        # the record keeps its quasi-polynomial layout: one branch, the
+        # residue of p mod l(l-1), in the power basis of p
+        coeffs = self.table.power_basis()
         out = {
             "family": self.family,
             "samples": [list(s) for s in self.samples],
             "degree_used": self.degree_used,
-            "quasi_polynomial": self.qp.to_json_dict(),
+            "quasi_polynomial": {
+                "period": self.table.step,
+                "degree": len(coeffs) - 1,
+                "branches": {str(self.table.x0 % self.table.step): to_jsonable(coeffs)},
+            },
         }
         if self.verify is not None:
             out["verify"] = [
@@ -239,15 +246,18 @@ class TauFit:
 
 def fit_exotic_tau(m: int, k: int, l: int, samples: int, verify: int = 0) -> TauFit:
     """Sample tau on the exotic family at p = q*l*(l-1)+2 for `samples`
-    consecutive q from the least admissible q0, and fit a quasi-polynomial
-    of period l*(l-1) on that residue class.
+    consecutive q from the least admissible q0, and fit it as one integer
+    forward-difference table in q of degree bound n = 2m (printed in the
+    power basis of p).
 
+    Fewer than 2m + 1 samples cannot fix the table: that is a ValueError
+    before any member is generated, once bp_order has refused a huge m.
     q0 is the first q that gen_exotic admits: the K-stability gate fails
-    exactly below a threshold in p (q0 = 1 at m = 2, 2 at m = 3).  The fit
-    is made once, at degree bound n = 2m; a sample the fit does not
-    reproduce refuses with qp_fit's NotQuasiPolynomialError, which names
-    the witness p.  Held-out verification points (q = q0+samples, ...) are
-    compared exactly against tau_kernel.
+    exactly below a threshold in p (q0 = 1 at m = 2, 2 at m = 3).  A
+    surplus sample the table does not reproduce refuses with qp_fit's
+    NotQuasiPolynomialError, which names the witness p.  Held-out
+    verification points (q = q0+samples, ...) are compared exactly against
+    tau_kernel.
     """
     n = 2 * m
     period = l * (l - 1)
@@ -255,6 +265,10 @@ def fit_exotic_tau(m: int, k: int, l: int, samples: int, verify: int = 0) -> Tau
     # gen_exotic's own bp_order is then a table lookup, so the refusals the
     # loop below skips are the K-stability gate's, never the bP order's
     bp_order(m)
+    if samples < n + 1:
+        raise ValueError(
+            f"{samples} samples cannot fix tau at degree bound 2m = {n}; need at least {n + 1}"
+        )
     q0 = 1
     while True:
         try:
@@ -272,19 +286,15 @@ def fit_exotic_tau(m: int, k: int, l: int, samples: int, verify: int = 0) -> Tau
         p, t = member_tau(qv)
         pts.append((qv, p, t))
 
-    qp = qp_fit([(p, t) for _, p, t in pts], period, n)
+    table = qp_fit([t for _, _, t in pts], n, q0=q0, x0=pts[0][1], step=period)
 
     verify_rows = None
     if verify > 0:
-        held = []
-        for qv in range(q0 + samples, q0 + samples + verify):
-            p, t = member_tau(qv)
-            held.append((p, t))
-        report = qp_verify(qp, dict(held).__getitem__, [p for p, _ in held])
-        verify_rows = tuple((x, pred, int(act)) for x, pred, act in report.entries)
+        held = range(q0 + samples, q0 + samples + verify)
+        verify_rows = qp_verify(table, [(qv, member_tau(qv)[1]) for qv in held])
 
     return TauFit(
-        qp=qp,
+        table=table,
         family={"m": m, "k": k, "l": l, "period": period},
         samples=tuple(pts),
         degree_used=n,

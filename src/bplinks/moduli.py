@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 from .errors import InvariantViolation, RefusalError, check_budget
 from .stability import k_stability
 from .families import exotic_vector
-from .quasipoly import _poly_eval
 
 __all__ = [
     "weighted_monomial_count",
@@ -27,6 +26,13 @@ __all__ = [
     "MeanEulerReport",
     "mean_euler",
 ]
+
+
+def _poly_eval(coeffs: Sequence[Fraction], x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _monomial_table(weights: Sequence[int], degree: int) -> list:

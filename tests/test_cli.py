@@ -579,6 +579,39 @@ def test_qpfit_refuses_a_sample_off_the_quasi_polynomial(capsys, monkeypatch):
     assert "not quasi-polynomial" in err and "x=44" in err
 
 
+def test_qpfit_counts_a_held_out_mismatch(capsys, monkeypatch):
+    # add 8 to tau at p = 50 (q = 8), the first held-out point
+    real = families.tau_kernel
+
+    def perturbed(vector, **kw):
+        sig = real(vector, **kw)
+        return replace(sig, tau=sig.tau + 8) if vector[2] == 50 else sig
+
+    monkeypatch.setattr(families, "tau_kernel", perturbed)
+    code, lines, err = run_cli(
+        capsys, "qpfit", "--m", "2", "--k", "1", "--l", "3", "--samples", "7", "--verify", "3"
+    )
+    assert code == 3
+    assert [row["match"] for row in lines[0]["verify"]] == [False, True, True]
+    assert lines[0]["verify"][0] == {
+        "p": 50, "predicted": "45000", "actual": 45008, "match": False
+    }
+    assert err == "qpfit: 1 verification mismatches\n"
+
+
+def test_qpfit_refuses_too_few_samples_before_any_work(capsys, monkeypatch):
+    def no_work(*args, **kw):
+        raise AssertionError("a family member was built or sampled")
+
+    monkeypatch.setattr(families, "gen_exotic", no_work)
+    monkeypatch.setattr(families, "tau_kernel", no_work)
+    code, lines, err = run_cli(
+        capsys, "qpfit", "--m", "3", "--k", "1", "--l", "3", "--samples", "6"
+    )
+    assert code == 2 and lines == []
+    assert "6 samples" in err and "need at least 7" in err
+
+
 def test_scan_drops_torn_last_cache_line(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "scan.cache"
     code, _, _ = run_cli(capsys, "scan", "--n", "4", "--amax", "6", "--cache", str(cache))

@@ -146,7 +146,7 @@ def test_exotic_contact_obstruction_when_l_chosen_well():
 
 def test_fit_exotic_tau_desk_scale():
     fit = fit_exotic_tau(2, 1, 3, samples=7, verify=3)
-    assert fit.qp.period == 6
+    assert fit.family["period"] == 6
     assert [p for _, p, _ in fit.samples] == [8, 14, 20, 26, 32, 38, 44]
     assert fit.degree_used == 4
     assert fit.verify is not None
