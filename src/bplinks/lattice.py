@@ -8,14 +8,16 @@ count of the tetrahedron with vertices 0, a e1, b e2, c e3, which Mordell's
 formula gives through three Dedekind sums, each evaluated by reciprocity in
 integers.  It takes no DP steps, so no budget applies to it.  Every other
 vector takes the residue DP, which folds the outer coordinates and counts
-each residue's window over the inner box with floor sums.  Three exact
-symmetries keep that small.  Flipping every coordinate
-(x -> a - x) pairs residue r with its mirror (m*L - r) mod 2L, whose window
-counts are the same or have plus and minus swapped, so one window count
-serves both.  A window depends on the offset r/L only, and shifting the
-offset by 1 swaps plus and minus, so one count of the offset (r mod L)/L
-in lowest terms serves r and r + L, and every vector with the same inner
-box (A, B) whose offsets meet it.  Both stages of the DP are pure, so each
+each residue's window over the inner box with floor sums.  A window
+depends on the offset c = r/L only, and two identities of the inner window
+keep the counts few: shifting c by 1 swaps plus and minus, and the inner
+flip (x, y) -> (A - x, B - y) gives 1 - c the same counts as c.  So one
+count of the offset folded into [0, 1/2], in lowest terms, serves c,
+1 - c and both shifted by 1, for every vector with the same inner box
+(A, B) whose offsets meet it.  Flipping every outer coordinate
+(x -> a - x) pairs residue r with its mirror (m*L - r) mod 2L, which
+folds to the same offset; the DP checks that the two have equal outer
+counts, so a faulty DP is caught.  Both stages of the DP are pure, so each
 is a bounded memo: the window counts keyed by (offset, A, B), and the
 outer list of the last outer exponents a[:-2], which a scan keeps while
 it visits every inner box (A, B) under one prefix.  Below an edge
@@ -157,25 +159,19 @@ def _count_eq_2d(A: int, B: int, M: int) -> int:
 
 def _window_counts(r: int, L: int, A: int, B: int):
     """For interior points 0 < x < A, 0 < y < B, classify
-    S = r/L + x/A + y/B (0 <= r < 2L) by its residue window: plus when
+    S = r/L + x/A + y/B (0 <= r < L) by its residue window: plus when
     S mod 2 in (0, 1), minus when in (1, 2), boundary when S is an integer.
 
-    S lies in (k0, k0 + 3) with k0 = floor(r/L), so only the edges
-    k = k0 + 1, k0 + 2 cut the box; S < k reads L(Bx + Ay) < (kL - r)AB,
-    one floor sum each (_open_box_below)."""
+    S lies in (0, 3), so only the edges k = 1, 2 cut the box; S < k reads
+    L(Bx + Ay) < (kL - r)AB, one floor sum each (_open_box_below)."""
     below, on = [], []
-    k0 = r // L
-    for k in (k0 + 1, k0 + 2):
+    for k in (1, 2):
         T = (k * L - r) * A * B
         below.append(_open_box_below(A, B, (T - 1) // L))
         on.append(_count_eq_2d(A, B, T // L) if T % L == 0 else 0)
-    # windows k0 and k0 + 2 share a parity; window k0 + 1 has the other
-    same = below[0] + (A - 1) * (B - 1) - below[1] - on[1]
-    other = below[1] - below[0] - on[0]
-    boundary = on[0] + on[1]
-    if k0 % 2 == 0:
-        return same, other, boundary
-    return other, same, boundary
+    plus = below[0] + (A - 1) * (B - 1) - below[1] - on[1]  # S < 1 or S > 2
+    minus = below[1] - below[0] - on[0]
+    return plus, minus, on[0] + on[1]
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +297,15 @@ def _tau_residue_dp(a: tuple, budget: int | None) -> SignatureResult:
 
     With L = lcm(outer), the outer offset is r/L with r = sum x_i L/a_i,
     and only r mod 2L matters.  The DP runs in two stages: _outer_residues
-    folds the outer coordinates into one entry per offset num/den =
-    (r mod L)/L in lowest terms, and the window loop counts each entry's
-    window over the inner box through _window_memo.  Both stages are
-    bounded memos, so the vectors of a scan that share their outer
-    exponents share one outer list, and every vector shares the window
-    counts of the offsets and inner boxes it meets.  The DP work is
-    estimated from the outer exponents and refused beyond the budget
-    before either memo is read, so a vector refuses the same way whatever
-    was computed before it.
+    folds the outer coordinates into one entry per offset num/den in
+    [0, 1/2], in lowest terms, by the unit shift and the inner flip, and
+    the window loop counts each entry's window over the inner box through
+    _window_memo.  Both stages are bounded memos, so the vectors of a scan
+    that share their outer exponents share one outer list, and every
+    vector shares the window counts of the offsets and inner boxes it
+    meets.  The DP work is estimated from the outer exponents and refused
+    beyond the budget before either memo is read, so a vector refuses the
+    same way whatever was computed before it.
     """
     A, B = a[-2], a[-1]
     outer = a[:-2]
@@ -324,11 +320,11 @@ def _tau_residue_dp(a: tuple, budget: int | None) -> SignatureResult:
         "tau_kernel", estimate, "residue steps", budget, "raise --budget or BPLINKS_TAU_BUDGET"
     )
     plus = minus = boundary = 0
-    for num, den, same, other, twice in _outer_residues(outer, L):
+    for num, den, same, other in _outer_residues(outer, L):
         p, mn, b = _window_memo(num, den, A, B)
         plus += same * p + other * mn
         minus += other * p + same * mn
-        boundary += twice * b
+        boundary += (same + other) * b
     return SignatureResult(
         tau=plus - minus,
         plus_count=plus,
@@ -349,20 +345,22 @@ def _window_memo(num: int, den: int, A: int, B: int):
 @lru_cache(maxsize=1)
 def _outer_residues(outer: tuple, L: int) -> tuple:
     """The outer stage of the residue DP for the outer exponents outer,
-    whose lcm is L: one (num, den, same, other, twice) per offset num/den =
-    (r mod L)/L in lowest terms, such that a vector's plus count is the
-    sum of same * p + other * m, its minus count that of other * p + same * m,
-    and its boundary count that of twice * b, over the window counts
-    (p, m, b) = _window_counts(num, den, A, B) of its inner box (A, B).
+    whose lcm is L: one (num, den, same, other) per offset num/den in
+    [0, 1/2], in lowest terms, such that a vector's plus count is the sum
+    of same * p + other * m, its minus count that of other * p + same * m,
+    and its boundary count that of (same + other) * b, over the window
+    counts (p, m, b) = _window_counts(num, den, A, B) of its inner box.
 
-    The DP counts the outer points per residue r mod 2L.  Flipping every
-    coordinate sends r to its mirror (m*L - r) mod 2L (m = len(outer))
-    with the same outer count, and the whole sum S to m + 2 - S, so the
-    mirror's window counts equal r's for odd m and have plus and minus
-    swapped for even m, and each pair is counted through its lesser
-    residue.  The equal outer counts are checked on every residue, once
-    per list built.  A residue r >= L has r - L's window with plus and
-    minus swapped, so both fold into one entry.
+    The DP counts the outer points per residue r mod 2L, at offset
+    c = r/L.  Two identities of the inner window fold every offset into
+    [0, 1/2]: the unit shift gives window(c + 1) = window(c) with plus
+    and minus swapped, and the inner flip (x, y) -> (A - x, B - y) gives
+    window(1 - c) = window(c).  So r counts as same or other of the offset
+    rho = r mod L, or of L - rho when 2 rho > L, as r < L or r >= L.
+    Flipping every outer coordinate sends r to its mirror (m*L - r) mod 2L
+    (m = len(outer)) with the same outer count, which is checked on every
+    residue, once per list built; a mirror pair folds to one offset, so
+    each pair is visited through its lesser residue.
     """
     mod = 2 * L
     counts = {0: 1}
@@ -374,8 +372,8 @@ def _outer_residues(outer: tuple, L: int) -> tuple:
                 r = (res + x * w) % mod
                 nxt[r] = nxt.get(r, 0) + cnt
         counts = nxt
-    entries: dict[int, list] = {}  # r mod L -> [same, other, twice]
-    shift, swap = len(outer) * L, len(outer) % 2 == 0
+    entries: dict[int, list] = {}  # offset in [0, L/2] -> [same, other]
+    shift = len(outer) * L
     for r, mult in counts.items():
         mirror = (shift - r) % mod
         if counts.get(mirror) != mult:
@@ -385,19 +383,15 @@ def _outer_residues(outer: tuple, L: int) -> tuple:
             )
         if mirror < r:
             continue  # counted with its mirror
-        same, other, twice = mult, 0, mult
+        rho = r - L if r >= L else r
+        entry = entries.setdefault(L - rho if 2 * rho > L else rho, [0, 0])
+        entry[r >= L] += mult
         if mirror != r:
-            same, other, twice = (mult, mult, 2 * mult) if swap else (2 * mult, 0, 2 * mult)
-        if r >= L:
-            same, other = other, same
-        entry = entries.setdefault(r - L if r >= L else r, [0, 0, 0])
-        entry[0] += same
-        entry[1] += other
-        entry[2] += twice
+            entry[mirror >= L] += mult
     out = []
-    for r, (same, other, twice) in entries.items():
+    for r, (same, other) in entries.items():
         g = gcd(r, L)
-        out.append((r // g, L // g, same, other, twice))
+        out.append((r // g, L // g, same, other))
     return tuple(out)
 
 

@@ -15,11 +15,14 @@ oracle in the tests.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
 
 from .arith import to_jsonable
+from .errors import check_budget
 from .lattice import SignatureResult, _outer_residues, _window_memo, tau_brute, tau_kernel
 from .stability import StabilityReport, _stability_report, k_stability
 from .topology import (
@@ -139,7 +142,43 @@ def _link_report(
     )
 
 
+# every integer below 2**2126 has at most 640 decimal digits, the least
+# limit on integer string conversion the interpreter accepts
+_ALWAYS_PRINTABLE_BITS = 2126
+
+
+def _check_printable(r: LinkReport) -> None:
+    """Refuse a record holding an integer longer than the interpreter's
+    limit on integer string conversion (sys.get_int_max_str_digits).
+
+    (n + 1) * d bounds d, the weights, the index and sum_recip's terms, and
+    plus + minus + boundary bounds the signature's counts, so a record
+    whose bound stays under 640 digits costs one comparison; past it the
+    printed integers themselves are measured."""
+    stab, sig = r.stability, r.signature
+    bound = stab.d * len(r.vector)
+    if sig is not None:
+        bound += sig.plus_count + sig.minus_count + sig.boundary_skipped
+    if bound.bit_length() <= _ALWAYS_PRINTABLE_BITS:
+        return
+    limit = sys.get_int_max_str_digits()
+    if not limit:  # 0: no limit
+        return
+    ints = [stab.d, abs(stab.index_invariant), stab.sum_recip.numerator]
+    if sig is not None:
+        ints += [sig.plus_count, sig.minus_count, sig.boundary_skipped]
+    check_budget(
+        "the JSON record",
+        Decimal(max(ints)).adjusted() + 1,
+        "decimal digits in one integer",
+        limit,
+        "the budget is the interpreter's limit on integer string conversion "
+        "(PYTHONINTMAXSTRDIGITS)",
+    )
+
+
 def report_to_dict(r: LinkReport) -> dict:
+    _check_printable(r)
     g = r.sphere.graph
     out = {
         "vector": list(r.vector),

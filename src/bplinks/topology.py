@@ -18,7 +18,6 @@ from .arith import BPOrder, bp_order
 from .errors import InvariantViolation, check_budget
 
 __all__ = [
-    "ExponentVector",
     "exponent_vector",
     "GcdGraph",
     "build_gcd_graph",
@@ -31,8 +30,6 @@ __all__ = [
     "COND1",
     "COND2",
 ]
-
-ExponentVector = tuple  # sorted tuple of ints, validated by exponent_vector()
 
 # Homotopy-sphere conditions (Brieskorn's trichotomy).
 COND1 = "two_isolated_points"

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import shlex
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from bplinks import arith, cli, families, lattice, report, topology
 from bplinks.cli import main
+from bplinks.primes import is_prime
 from bplinks.report import classify_link, report_to_dict
 
 
@@ -483,6 +485,19 @@ def test_classify_of_a_long_vector_with_few_components_is_quick(capsys):
     assert code == 0 and lines[0]["homotopy_sphere"] is True
     assert lines[0]["graph"]["isolated"] == [5, 7]
     assert [len(c) for c in lines[0]["graph"]["components"]] == [20000, 1, 1]
+
+
+def test_classify_of_a_record_too_long_to_print_is_refused(capsys):
+    # 2p over the first 3 000 odd primes, plus (3, 5): a well-formed vector
+    # whose lcm d has ~11 800 digits, past the interpreter's default limit
+    # on integer string conversion
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no limit on integer string conversion")
+    primes = [p for p in range(3, 28000) if is_prime(p)][:3000]
+    code, lines, err = run_cli(capsys, "classify", *(str(2 * p) for p in primes), "3", "5")
+    assert code == 1 and lines == []
+    assert "decimal digits in one integer" in err and f"(budget {limit})" in err
 
 
 def test_refusal_exits_1(capsys):

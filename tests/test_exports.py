@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -16,4 +17,21 @@ MODULES = ["bplinks"] + sorted(
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_every_benchmark_span_target_is_a_callable_of_the_package():
+    # the benchmark's tracer reports a vanished target without failing, so
+    # renaming or deleting a traced function is caught here; spans.py is
+    # read and executed in a namespace, never imported (no bytecode written)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spans = {"__name__": "spans"}
+    exec(compile(path.read_text(), str(path), "exec"), spans)
+    missing = []
+    for module, attr_path in spans["TARGETS"].values():
+        owner = importlib.import_module(f"bplinks.{module}")
+        for part in attr_path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{attr_path}")
     assert missing == []

@@ -203,7 +203,7 @@ def test_open_box_below_matches_row_oracle(case):
 
 
 def test_window_counts_examples():
-    assert _window_counts(3, 2, 3, 5) == (8, 0, 0)  # offset 3/2
+    assert _window_counts(1, 2, 3, 5) == (0, 8, 0)  # offset 1/2
     assert _window_counts(0, 1, 2, 2) == (0, 0, 1)
     assert _window_counts(0, 1, 2, 3) == (1, 1, 0)  # 5/6 -> +1, 7/6 -> -1
 
@@ -228,20 +228,20 @@ def test_window_counts_matches_enumeration():
     rng = random.Random(42)
     for _ in range(150):
         A, B = rng.randint(2, 12), rng.randint(2, 12)
-        c = Fraction(rng.randint(0, 40), rng.randint(1, 12))
-        L = c.denominator
-        got = _window_counts(c.numerator % (2 * L), L, A, B)
-        assert got == oracle_window(c, A, B), (c, A, B)
+        L = rng.randint(1, 12)
+        r = rng.randrange(L)
+        assert _window_counts(r, L, A, B) == oracle_window(Fraction(r, L), A, B), (r, L, A, B)
 
 
 # The residue DP's window table is keyed by (num, den, A, B) with num/den
-# = (r mod L)/L in lowest terms; these are the two facts that make it exact.
+# the offset folded into [0, 1/2] in lowest terms; these are the three
+# facts that make it exact.
 @settings(max_examples=300, deadline=None)
 @given(L=st.integers(1, 12), r=st.integers(0, 11), A=st.integers(2, 9), B=st.integers(2, 9))
 @example(L=1, r=0, A=2, B=2)
 @example(L=12, r=6, A=4, B=6)
 def test_window_counts_depend_on_the_reduced_offset_only(L, r, A, B):
-    r %= 2 * L
+    r %= L
     g = gcd(r, L)
     got = _window_counts(r, L, A, B)
     assert got == _window_counts(r // g, L // g, A, B)
@@ -255,8 +255,19 @@ def test_window_counts_depend_on_the_reduced_offset_only(L, r, A, B):
 def test_window_counts_shift_by_one_swaps_plus_and_minus(L, r, A, B):
     r %= L
     plus, minus, boundary = _window_counts(r, L, A, B)
-    assert _window_counts(r + L, L, A, B) == (minus, plus, boundary)
     assert (minus, plus, boundary) == oracle_window(Fraction(r + L, L), A, B)
+
+
+@settings(max_examples=300, deadline=None)
+@given(L=st.integers(1, 12), r=st.integers(0, 11), A=st.integers(2, 9), B=st.integers(2, 9))
+@example(L=1, r=0, A=2, B=2)
+@example(L=6, r=3, A=2, B=3)
+@example(L=5, r=2, A=5, B=5)
+def test_window_counts_are_the_same_at_c_and_one_minus_c(L, r, A, B):
+    # the inner flip (x, y) -> (A - x, B - y) sends (1 - c) + x/A + y/B
+    # to 3 - (c + x/A + y/B), whose window is the same
+    r %= L
+    assert _window_counts(r, L, A, B) == oracle_window(Fraction(L - r, L), A, B)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +298,9 @@ def test_tau_kernel_matches_brute_on_cross_validation_instance():
 
 
 def test_tau_kernel_matches_brute_with_even_outer_length():
-    # an even number of outer exponents swaps plus and minus between
-    # mirrored residues; n = 4 (three outer) never takes that branch
+    # with an even number of outer exponents the mirror of offset c is -c,
+    # so a lone vector meets both c and 1 - c, which the fold merges; with
+    # an odd number (n = 4) the mirror is 1 - c itself
     vectors = [
         *itertools.combinations_with_replacement(range(2, 10), 4),
         *itertools.combinations_with_replacement(range(2, 8), 6),
@@ -322,17 +334,38 @@ def test_lone_tau_kernel_counts_each_reduced_offset_once(monkeypatch):
         assert (k.tau, k.plus_count, k.minus_count) == (b.tau, b.plus_count, b.minus_count), a
 
 
+def test_lone_tau_kernel_folds_every_offset_into_the_first_half(monkeypatch):
+    # n = 3 and n = 5 have an even number of outer exponents, the case
+    # where a vector's residues reach both c and 1 - c
+    seen = []
+
+    def counting(r, L, A, B):
+        seen.append((r, L, A, B))
+        return _window_counts(r, L, A, B)
+
+    monkeypatch.setattr(lattice, "_window_counts", counting)
+    vectors = [
+        *itertools.combinations_with_replacement(range(2, 12), 4),
+        *itertools.combinations_with_replacement(range(2, 8), 6),
+    ]
+    for a in vectors:
+        seen.clear()
+        lattice._window_memo.cache_clear()  # a lone vector: nothing counted before it
+        tau_kernel(a)
+        assert all(2 * r <= L for r, L, _, _ in seen), a
+        assert not any((L - r, L, A, B) in seen for r, L, A, B in seen if 2 * r != L), a
+
+
 def test_outer_residues_fold_each_residue_into_its_reduced_offset():
     outer_residues = lattice._outer_residues.__wrapped__  # the memo would hide repeats
     for m in (1, 2, 3):
         for outer in itertools.combinations_with_replacement(range(2, 9), m):
             entries = outer_residues(outer, lcm(*outer))
             offsets = [(num, den) for num, den, *_ in entries]
-            assert len(offsets) == len(set(offsets)), outer  # r and r + L share one entry
-            assert all(num < den and gcd(num, den) == 1 or (num, den) == (0, 1) for num, den in offsets)
+            assert len(offsets) == len(set(offsets)), outer  # c, c + 1, 1 - c share one entry
+            assert all(2 * num <= den and gcd(num, den) == 1 for num, den in offsets), outer
             points = prod(ai - 1 for ai in outer)
-            assert sum(same + other for _, _, same, other, _ in entries) == points, outer
-            assert sum(twice for *_, twice in entries) == points, outer
+            assert sum(same + other for _, _, same, other in entries) == points, outer
 
 
 def test_residue_memos_are_bounded():

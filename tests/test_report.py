@@ -1,9 +1,12 @@
+import sys
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bplinks import lattice
+from bplinks.errors import RefusalError
 from bplinks.report import classify_link, report_to_dict, scan_links
 from bplinks.topology import arf_class, classify_sphere
 
@@ -77,3 +80,19 @@ def test_scan_shares_window_counts_and_leaves_no_table(monkeypatch):
         assert lattice._outer_residues.cache_info().misses == 120
     assert signatures[0] == signatures[1]
 
+
+
+def test_a_record_prints_up_to_the_interpreter_limit_and_refuses_past_it():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no limit on integer string conversion")
+    rep = classify_link((2, 3, 5, 7, 11))
+    longest = replace(rep, stability=replace(rep.stability, d=10**limit - 1))
+    assert len(report_to_dict(longest)["stability"]["d"]) == limit
+    too_long = replace(rep, stability=replace(rep.stability, d=10**limit))
+    with pytest.raises(RefusalError, match="decimal digits in one integer") as err:
+        report_to_dict(too_long)
+    assert (err.value.estimate, err.value.budget) == (limit + 1, limit)
+    signature = replace(rep.signature, plus_count=10**limit)
+    with pytest.raises(RefusalError):
+        report_to_dict(replace(rep, signature=signature))
