@@ -16,6 +16,13 @@ Its cache lookups and the --paranoid recheck live in the callback it passes
 to scan_links.  Its one stderr line counts the links matched and the
 vectors walked and, with --cache, the cache hits and writes; it holds no
 timings, so it is as deterministic as stdout.
+
+Every JSON line, on stdout and in the scan cache, goes through one
+module-level encoder, _encode.  It is json.dumps's encoder without the
+circular-reference check: each record is a freshly built tree with no
+cycles, so the id() markers that check fills for every container of every
+record buy nothing.  Separators, ensure_ascii and allow_nan keep their
+defaults, so the bytes are json.dumps's.
 """
 
 from __future__ import annotations
@@ -36,14 +43,16 @@ from .errors import InvariantViolation, RefusalError
 from .families import brieskorn_reference, fit_exotic_tau, gen_exotic, gen_odd_dim, gen_standard
 from .lattice import SignatureResult, tau_brute, tau_kernel
 from .moduli import mean_euler, moduli_dimension
-from .report import classify_link, report_to_dict, scan_links
+from .report import _check_signature_printable, classify_link, report_to_dict, scan_links
 from .topology import classify_sphere, diffeo_class_even, exponent_vector
 
 CACHE_VERSION = 1
 
+_encode = json.JSONEncoder(check_circular=False).encode
+
 
 def _emit(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj) + "\n")
+    sys.stdout.write(_encode(obj) + "\n")
 
 
 def _diag(msg: str) -> None:
@@ -80,7 +89,7 @@ class ScanCache:
         self._fh.close()
 
     def _append(self, rec: dict) -> None:
-        self._fh.write(json.dumps(rec) + "\n")
+        self._fh.write(_encode(rec) + "\n")
         self._fh.flush()
 
     def _load(self) -> bool:
@@ -164,6 +173,7 @@ def _cmd_tau(args) -> int:
     a = exponent_vector(args.exponents)
     engine = tau_brute if args.method == "brute" else tau_kernel
     sig = engine(a, budget=args.budget)
+    _check_signature_printable(sig)
     out = {
         "vector": list(a),
         "tau": sig.tau,

@@ -11,6 +11,17 @@ three reductions.  Both end in the same rules (topology's
 _graph_from_components and _sphere_from_graph, stability's
 _stability_report, and _link_report here); classify_link is the walk's
 oracle in the tests.
+
+The walk's leaf hands _graph_from_components the (members, lcm) pairs that
+_join_vertex carried down, as they are.  A component holds an even entry
+iff its lcm is even, so the ev-component is found from one parity test per
+component, with no pass over the entries; two components with even lcms
+are an InvariantViolation.
+
+The four records built once per scanned vector (LinkReport, GcdGraph,
+SphereClassification, StabilityReport) are slotted, not frozen, dataclasses:
+a frozen __init__ pays an object.__setattr__ per field.  They compare by
+value but are unhashable, so none is used as a dict key or a set member.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from .topology import (
 __all__ = ["LinkReport", "classify_link", "scan_links", "report_to_dict"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LinkReport:
     input_vector: tuple
     vector: tuple  # sorted
@@ -91,7 +102,7 @@ def scan_links(
     top = amax + 1
 
     def leaf(a, comps, p, num, d):
-        sphere = _sphere_from_graph(_graph_from_components(a, tuple(c for c, _ in comps)))
+        sphere = _sphere_from_graph(_graph_from_components(a, comps))
         stability = _stability_report(a, n, p, num, d)
         signature = None
         if n % 2 == 0:
@@ -159,14 +170,27 @@ def _check_printable(r: LinkReport) -> None:
     bound = stab.d * len(r.vector)
     if sig is not None:
         bound += sig.plus_count + sig.minus_count + sig.boundary_skipped
-    if bound.bit_length() <= _ALWAYS_PRINTABLE_BITS:
-        return
+    if bound.bit_length() > _ALWAYS_PRINTABLE_BITS:
+        ints = [stab.d, abs(stab.index_invariant), stab.sum_recip.numerator]
+        if sig is not None:
+            ints += [sig.plus_count, sig.minus_count, sig.boundary_skipped]
+        _check_digits(ints)
+
+
+def _check_signature_printable(sig: SignatureResult) -> None:
+    """_check_printable of a record whose only long integers are sig's tau
+    and counts, as bplinks tau prints them; |tau| <= plus + minus."""
+    counts = [sig.plus_count, sig.minus_count, sig.boundary_skipped]
+    if sum(counts).bit_length() > _ALWAYS_PRINTABLE_BITS:
+        _check_digits(counts)
+
+
+def _check_digits(ints: list) -> None:
+    """Refuse when the longest of the non-negative ints has more decimal
+    digits than the interpreter's limit on integer string conversion."""
     limit = sys.get_int_max_str_digits()
     if not limit:  # 0: no limit
         return
-    ints = [stab.d, abs(stab.index_invariant), stab.sum_recip.numerator]
-    if sig is not None:
-        ints += [sig.plus_count, sig.minus_count, sig.boundary_skipped]
     check_budget(
         "the JSON record",
         Decimal(max(ints)).adjusted() + 1,
@@ -179,32 +203,34 @@ def _check_printable(r: LinkReport) -> None:
 
 def report_to_dict(r: LinkReport) -> dict:
     _check_printable(r)
-    g = r.sphere.graph
+    sphere, stab = r.sphere, r.stability
+    g = sphere.graph
+    v = g.vertices
     out = {
         "vector": list(r.vector),
         "input_vector": list(r.input_vector),
         "n": r.n,
         "link_dimension": r.link_dimension,
-        "homotopy_sphere": r.sphere.is_homotopy_sphere,
-        "condition": r.sphere.condition,
-        "reason": r.sphere.reason,
+        "homotopy_sphere": sphere.is_homotopy_sphere,
+        "condition": sphere.condition,
+        "reason": sphere.reason,
         "graph": {
-            "components": [list(c) for c in g.component_values()],
-            "isolated": list(g.isolated_values()),
-            "ev_component": [g.vertices[i] for i in g.ev_component],
+            "components": [[v[i] for i in c] for c in g.components],
+            "isolated": [v[i] for i in g.isolated],
+            "ev_component": [v[i] for i in g.ev_component],
         },
         "stability": {
-            "sum_recip": to_jsonable(r.stability.sum_recip),
-            "log_fano": r.stability.log_fano,
-            "k_semistable": r.stability.k_semistable,
-            "k_polystable": r.stability.k_polystable,
-            "boundary_semistable": r.stability.boundary_semistable,
-            "d": str(r.stability.d),
-            "weights": [str(w) for w in r.stability.weights],
-            "index_invariant": str(r.stability.index_invariant),
-            "contact": r.stability.contact,
+            "sum_recip": to_jsonable(stab.sum_recip),
+            "log_fano": stab.log_fano,
+            "k_semistable": stab.k_semistable,
+            "k_polystable": stab.k_polystable,
+            "boundary_semistable": stab.boundary_semistable,
+            "d": str(stab.d),
+            "weights": [str(w) for w in stab.weights],
+            "index_invariant": str(stab.index_invariant),
+            "contact": stab.contact,
         },
-        "se_metric": r.stability.se_metric_exists,
+        "se_metric": stab.se_metric_exists,
     }
     if r.signature is not None:
         out["tau"] = r.signature.tau

@@ -41,7 +41,7 @@ CONTACT_INCONCLUSIVE = "inconclusive"
 _SUBSET_ORACLE_MAX_N = 12
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StabilityReport:
     vector: tuple
     sum_recip: Fraction
@@ -74,7 +74,7 @@ def _stability_report(a: tuple, n: int, p: int, num: int, d: int) -> StabilityRe
     semi = log_fano and lhs <= rhs
     poly = log_fano and lhs < rhs
 
-    weights = tuple(d // ai for ai in a)
+    weights = tuple([d // ai for ai in a])
     index = sum(weights) - d
     # the index form is equivalent to the inequality form; check every call
     s = Fraction(num, p)

@@ -60,7 +60,7 @@ def _integers(values: Sequence[int]) -> tuple:
         raise ValueError(f"exponents must be integers: {err}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GcdGraph:
     """Graph on the entries of a; vertices i, j are adjacent iff
     gcd(a_i, a_j) > 1.  Vertices are tracked by index since values repeat."""
@@ -93,15 +93,18 @@ def build_gcd_graph(a: Sequence[int]) -> GcdGraph:
         comps = _join_vertex(comps, i, a[i])
     ends = dict(zip(starts, starts[1:] + [len(a)]))
     return _graph_from_components(
-        a, tuple(tuple(j for i in c for j in range(i, ends[i])) for c, _ in comps)
+        a, [(tuple(j for i in c for j in range(i, ends[i])), m) for c, m in comps]
     )
 
 
-def _graph_from_components(a: tuple, components: tuple) -> GcdGraph:
-    """The GcdGraph of the sorted, validated vector a whose components (sorted
-    index tuples in least-index order) are given."""
-    isolated = tuple(c[0] for c in components if len(c) == 1)
-    holding_evens = [c for c in components if any(a[i] % 2 == 0 for i in c)]
+def _graph_from_components(a: tuple, comps) -> GcdGraph:
+    """The GcdGraph of the sorted, validated vector a whose components are
+    comps: (sorted indices, lcm of their values) pairs in least-index order,
+    as _join_vertex carries them.  A component holds an even entry iff its
+    lcm is even, so the parity of one lcm per component finds the evens."""
+    components = tuple([c for c, _ in comps])
+    isolated = tuple([c[0] for c in components if len(c) == 1])
+    holding_evens = [c for c, m in comps if m % 2 == 0]
     # even-even gcd >= 2, so all even entries lie in one component
     if len(holding_evens) > 1:
         raise InvariantViolation(f"even entries of {a} lie in more than one component")
@@ -136,7 +139,7 @@ def _join_vertex(comps: tuple, i: int, v: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SphereClassification:
     is_homotopy_sphere: bool
     condition: Optional[str]  # COND1, COND2, or None

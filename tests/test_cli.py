@@ -328,6 +328,26 @@ def test_scan_records_golden_digest(capsys, n, amax, count, digest):
     assert h.hexdigest() == digest
 
 
+# SHA-256 of the raw bytes, recorded from json.dumps's output: the digests
+# above re-encode each record with sorted keys, so they cannot see a change
+# of key order or separators.  The cache's records name the tool's version,
+# so a version bump changes the cache digest.
+def test_scan_stdout_bytes_golden_digest(capsys):
+    assert main(["scan", "--n", "5", "--amax", "10"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fbe03889df59e778063d34724135307f4e1be71f1c3f1dc40ace622b3a60e19f"
+    )
+
+
+def test_scan_cache_file_bytes_golden_digest(capsys, tmp_path):
+    cache = tmp_path / "scan.cache"
+    assert main(["scan", "--n", "4", "--amax", "7", "--cache", str(cache)]) == 0
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == (
+        "e2ad7993236dfebca17ef3471bb20cea3edb0c514527b0c50c1ab5825bc07f90"
+    )
+
+
 def test_scan_results_independent_of_cache(capsys, tmp_path):
     cache = tmp_path / "scan.cache"
     code, plain, _ = run_cli(capsys, "scan", "--n", "4", "--amax", "5")
@@ -496,6 +516,20 @@ def test_classify_of_a_record_too_long_to_print_is_refused(capsys):
         pytest.skip("this interpreter has no limit on integer string conversion")
     primes = [p for p in range(3, 28000) if is_prime(p)][:3000]
     code, lines, err = run_cli(capsys, "classify", *(str(2 * p) for p in primes), "3", "5")
+    assert code == 1 and lines == []
+    assert "decimal digits in one integer" in err and f"(budget {limit})" in err
+
+
+def test_tau_of_a_record_too_long_to_print_is_refused(capsys):
+    # (2, 2, A, B, C) with A, B, C = 10^1600 + 1, + 3, + 7 pairwise coprime:
+    # the closed form is quick, but the signature's counts have ~4 800
+    # digits, past the interpreter's default limit on integer string
+    # conversion, while every entry stays printable
+    limit = sys.get_int_max_str_digits()
+    if not limit or limit < 1700:
+        pytest.skip("needs a limit on integer string conversion above 1 700 digits")
+    big = [str(10**1600 + k) for k in (1, 3, 7)]
+    code, lines, err = run_cli(capsys, "tau", "2", "2", *big)
     assert code == 1 and lines == []
     assert "decimal digits in one integer" in err and f"(budget {limit})" in err
 

@@ -1,14 +1,20 @@
+import ast
 import sys
 from dataclasses import replace
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bplinks
 from bplinks import lattice
+from bplinks.arith import BPOrder
 from bplinks.errors import RefusalError
+from bplinks.families import FamilySpec
+from bplinks.lattice import SignatureResult
 from bplinks.report import classify_link, report_to_dict, scan_links
-from bplinks.topology import arf_class, classify_sphere
+from bplinks.topology import EvenDiffeoClass, OddDiffeoClass, arf_class, classify_sphere
 
 
 @settings(deadline=None)
@@ -96,3 +102,121 @@ def test_a_record_prints_up_to_the_interpreter_limit_and_refuses_past_it():
     signature = replace(rep.signature, plus_count=10**limit)
     with pytest.raises(RefusalError):
         report_to_dict(replace(rep, signature=signature))
+
+
+# the four records built once per scanned vector are slotted, not frozen
+SLOTTED = ("LinkReport", "GcdGraph", "SphereClassification", "StabilityReport")
+
+
+def test_per_vector_records_are_slotted_and_the_others_stay_frozen():
+    rep = classify_link((2, 2, 2, 3, 5))
+    sig = classify_link((2, 2, 2, 3, 7)).signature
+    assert replace(rep, signature=sig).signature is sig
+    assert replace(rep, signature=sig) != rep and replace(rep) == rep
+    for record in (rep, rep.sphere, rep.sphere.graph, rep.stability):
+        assert type(record).__name__ in SLOTTED and hasattr(type(record), "__slots__")
+        with pytest.raises(AttributeError):
+            record.no_such_field = 1
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    for cls in (SignatureResult, OddDiffeoClass, EvenDiffeoClass, BPOrder, FamilySpec):
+        assert cls.__dataclass_params__.frozen, cls
+
+
+def _mentions_slotted(node):
+    return node is not None and any(t in ast.unparse(node) for t in SLOTTED)
+
+
+def _callee(call):
+    return ast.unparse(call.func).split(".")[-1]
+
+
+def _hashing_sites(tree, holders, producers, holder_attrs):
+    """The source of every hashed expression of tree that may hold a slotted
+    record: a set element, a set()/frozenset()/hash()/.add() argument, a dict
+    key (literal, comprehension, subscript store, .get, .setdefault), or a
+    parameter of a function under a caching decorator.  An expression holds
+    a record when it names its type, is a name in holders, reads a field in
+    holder_attrs, calls a function in producers, or collects such values."""
+
+    def holds(e):
+        if isinstance(e, ast.Name):
+            return e.id in holders
+        if isinstance(e, ast.Attribute):
+            return e.attr in holder_attrs
+        if isinstance(e, ast.Call):
+            return _callee(e) in producers
+        if isinstance(e, (ast.Tuple, ast.List, ast.Set)):
+            return any(holds(x) for x in e.elts)
+        if isinstance(e, (ast.Subscript, ast.Starred)):
+            return holds(e.value)
+        if isinstance(e, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+            return holds(e.elt)
+        return False
+
+    hashed = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.args:
+            if _callee(node) in ("set", "frozenset", "hash", "add", "get", "setdefault"):
+                hashed.append(node.args[0])
+        elif isinstance(node, ast.Set):
+            hashed += node.elts
+        elif isinstance(node, ast.SetComp):
+            hashed.append(node.elt)
+        elif isinstance(node, ast.Dict):
+            hashed += [k for k in node.keys if k is not None]
+        elif isinstance(node, ast.DictComp):
+            hashed.append(node.key)
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            hashed.append(node.slice)
+        elif isinstance(node, ast.FunctionDef):
+            if any("cache" in ast.unparse(d) for d in node.decorator_list):
+                hashed += [p.annotation or ast.Name(p.arg) for p in node.args.args]
+    return [ast.unparse(e) for e in hashed if holds(e) or _mentions_slotted(e)]
+
+
+def _holder_names(tree, producers):
+    """Names in tree bound to a slotted record: parameters annotated with
+    its type, and targets of an assignment or loop over a producer call."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and _mentions_slotted(node.annotation):
+            names.add(node.arg)
+        elif isinstance(node, (ast.Assign, ast.For)):
+            value = node.value if isinstance(node, ast.Assign) else node.iter
+            if isinstance(value, ast.Call) and _callee(value) in producers:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_no_slotted_record_is_a_dict_key_or_a_set_member():
+    # the slotted records have no __hash__; a grep over the package's source
+    # for every place that hashes a value that may be one of them
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(Path(bplinks.__file__).parent.glob("*.py"))
+    }
+    producers, holder_attrs = set(), set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.FunctionDef) and _mentions_slotted(node.returns):
+            producers.add(node.name)
+        if isinstance(node, ast.AnnAssign) and _mentions_slotted(node.annotation):
+            holder_attrs.add(ast.unparse(node.target))
+    assert {"classify_link", "scan_links", "build_gcd_graph", "k_stability"} <= producers
+    assert {"sphere", "stability", "graph"} <= holder_attrs
+    assert "rep" in _holder_names(trees["cli.py"], producers)
+    assert {"g", "cls"} <= _holder_names(trees["topology.py"], producers)
+    found = {
+        name: _hashing_sites(tree, _holder_names(tree, producers), producers, holder_attrs)
+        for name, tree in trees.items()
+    }
+    assert {name: sites for name, sites in found.items() if sites} == {}
+    # the grep finds each kind of site it looks for
+    planted = ast.parse(
+        "{rep: 1}; set([g]); hash(x.sphere); seen.add(classify_sphere(a)); d[rep, 1] = 0\n"
+        "@lru_cache\ndef f(s: StabilityReport): pass"
+    )
+    assert sorted(_hashing_sites(planted, {"rep", "g"}, producers, holder_attrs)) == sorted(
+        ["rep", "(rep, 1)", "[g]", "x.sphere", "classify_sphere(a)", "StabilityReport"]
+    )

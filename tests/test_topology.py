@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from bplinks import topology
 from bplinks.errors import InvariantViolation, RefusalError
+from bplinks.report import scan_links
 from bplinks.topology import (
     COND1,
     COND2,
@@ -67,6 +68,17 @@ def oracle_gcd_graph(a):
 def test_gcd_graph_matches_closure_oracle(values):
     g = build_gcd_graph(values)
     assert (g.vertices, g.components, g.isolated, g.ev_component) == oracle_gcd_graph(values)
+
+
+@pytest.mark.parametrize("n, amax", [(5, 8), (4, 9)])
+def test_scan_walk_graphs_match_closure_oracle(n, amax):
+    # the walk's leaf finds the ev-component from the parity of each
+    # component's lcm; the oracle looks at the entries themselves
+    for rep in scan_links(n, amax):
+        g = rep.sphere.graph
+        assert (g.vertices, g.components, g.isolated, g.ev_component) == oracle_gcd_graph(
+            rep.vector
+        ), rep.vector
 
 
 def test_gcd_graph_split_even_entries_raise_without_assert(monkeypatch):
