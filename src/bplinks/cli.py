@@ -2,7 +2,9 @@
 stderr.
 
 Exit codes: 0 success, 1 refusal (budget, missing primes, regime, an
-unusable or corrupt cache), 2 usage error, 3 internal invariant violation.
+unusable or corrupt cache, a record holding an integer longer than the
+interpreter prints, checked by report._check_digits before any printing),
+2 usage error, 3 internal invariant violation.
 The signature budget (points for tau_brute, residue-DP steps for
 tau_kernel) is set by --budget or the BPLINKS_TAU_BUDGET environment
 variable and bounds both methods; tau_kernel's closed form for
@@ -12,10 +14,12 @@ BPLINKS_TAU_BUDGET only; every budget refusal prints its estimate and limit.
 
 scan iterates report.scan_links, which walks the sorted vectors and checks
 --n >= 3 once (argparse makes a smaller n a usage error before any work).
-Its cache lookups and the --paranoid recheck live in the callback it passes
-to scan_links.  Its one stderr line counts the links matched and the
-vectors walked and, with --cache, the cache hits and writes; it holds no
-timings, so it is as deterministic as stdout.
+It hands scan_links the cache's entries as the known signatures (none
+under --paranoid, which recomputes them all); after each record one block
+counts a hit or writes the record, and exits 3 on a cached signature that
+differs from the recomputed one in any field.  Its one stderr line counts
+the links matched and the vectors walked and, with --cache, the cache hits
+and writes; it holds no timings, so it is as deterministic as stdout.
 
 Every JSON line, on stdout and in the scan cache, goes through one
 module-level encoder, _encode.  It is json.dumps's encoder without the
@@ -35,7 +39,6 @@ from contextlib import nullcontext
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 from . import __version__
 from .arith import bp_order, to_jsonable
@@ -43,7 +46,7 @@ from .errors import InvariantViolation, RefusalError
 from .families import brieskorn_reference, fit_exotic_tau, gen_exotic, gen_odd_dim, gen_standard
 from .lattice import SignatureResult, tau_brute, tau_kernel
 from .moduli import mean_euler, moduli_dimension
-from .report import _check_signature_printable, classify_link, report_to_dict, scan_links
+from .report import _check_digits, classify_link, report_to_dict, scan_links
 from .topology import classify_sphere, diffeo_class_even, exponent_vector
 
 CACHE_VERSION = 1
@@ -131,9 +134,6 @@ class ScanCache:
                 raise RefusalError(f"cache {self.path} line {lineno}: corrupt record")
         return unterminated
 
-    def get(self, vector: tuple) -> Optional[SignatureResult]:
-        return self.entries.get(vector)
-
     def put(self, vector: tuple, sig: SignatureResult) -> None:
         rec = {
             "vector": list(vector),
@@ -173,7 +173,7 @@ def _cmd_tau(args) -> int:
     a = exponent_vector(args.exponents)
     engine = tau_brute if args.method == "brute" else tau_kernel
     sig = engine(a, budget=args.budget)
-    _check_signature_printable(sig)
+    _check_digits(sig)
     out = {
         "vector": list(a),
         "tau": sig.tau,
@@ -194,6 +194,7 @@ def _cmd_qpfit(args) -> int:
     fit = fit_exotic_tau(
         m=args.m, k=args.k, l=args.l, samples=args.samples, verify=args.verify
     )
+    _check_digits(fit)
     _emit(fit.to_json_dict())
     if fit.verify is not None:
         bad = [v for v in fit.verify if v[1] != v[2]]
@@ -212,18 +213,21 @@ def _cmd_family(args) -> int:
         spec = gen_exotic(args.m, args.k, args.l, args.q)
     else:
         spec = brieskorn_reference(args.m, args.k, args.sign)
+    _check_digits(spec)
     _emit(spec.to_json_dict())
     return 0
 
 
 def _cmd_bp_order(args) -> int:
     order = bp_order(args.m)
+    _check_digits(order)
     _emit({"m": order.m, "order": str(order.order)})
     return 0
 
 
 def _cmd_moduli(args) -> int:
     dim = moduli_dimension(args.n, args.p, args.l)
+    _check_digits(dim)
     _emit({**asdict(dim), "agree": dim.agree})
     if not dim.agree:
         _diag("moduli: DP and closed form disagree")
@@ -233,6 +237,7 @@ def _cmd_moduli(args) -> int:
 
 def _cmd_euler(args) -> int:
     rep = mean_euler(args.n, args.p, args.l, chi_p=args.chi_poly)
+    _check_digits(rep)
     _emit(to_jsonable(asdict(rep)))
     return 0
 
@@ -241,27 +246,21 @@ def _cmd_scan(args) -> int:
     count = vectors = hits = writes = 0
     # the cache's handle is closed on every exit, so it is complete on return
     with (ScanCache(Path(args.cache)) if args.cache else nullcontext()) as cache:
-
-        def cached(vector: tuple) -> Optional[SignatureResult]:
-            nonlocal hits
-            pre = cache.get(vector)
-            if pre is not None:
-                hits += 1
-                if args.paranoid:
-                    fresh = tau_kernel(vector)
-                    if fresh.tau != pre.tau:
-                        raise InvariantViolation(
-                            f"cache disagrees with recomputation on {vector}: "
-                            f"{pre.tau} != {fresh.tau}"
-                        )
-                    pre = fresh
-            return pre
-
-        for rep in scan_links(args.n, args.amax, cached if cache is not None else None):
+        known = cache.entries if cache is not None and not args.paranoid else {}
+        for rep in scan_links(args.n, args.amax, known):
             vectors += 1
-            if cache is not None and rep.signature is not None and cache.get(rep.vector) is None:
-                cache.put(rep.vector, rep.signature)
-                writes += 1
+            if cache is not None and rep.signature is not None:
+                pre = cache.entries.get(rep.vector)
+                if pre is None:
+                    cache.put(rep.vector, rep.signature)
+                    writes += 1
+                elif pre != rep.signature:  # only under --paranoid, which recomputes
+                    raise InvariantViolation(
+                        f"cache disagrees with recomputation on {rep.vector}: "
+                        f"cached {pre} != recomputed {rep.signature}"
+                    )
+                else:
+                    hits += 1
             if args.filter == "sphere" and not rep.sphere.is_homotopy_sphere:
                 continue
             if args.filter == "se-sphere" and not (

@@ -7,16 +7,17 @@ combinations_with_replacement gives, by a depth-first walk over the
 non-decreasing prefixes: each prefix carries its gcd components, the
 product P of its entries, N = sum P/a_i and their lcm, so each vector costs
 one step on its parent's state instead of a validation, a graph search and
-three reductions.  Both end in the same rules (topology's
-_graph_from_components and _sphere_from_graph, stability's
-_stability_report, and _link_report here); classify_link is the walk's
-oracle in the tests.
+three reductions.  Both build every record in one leaf, _link_report,
+from the gcd components, P, N, lcm and signature: classify_link validates
+its vector once and takes them from build_gcd_graph's fold, prod, sum and
+lcm; the walk passes its carried state and reads known signatures from a
+mapping (the scan cache's entries).  classify_link is the walk's oracle in
+the tests.
 
-The walk's leaf hands _graph_from_components the (members, lcm) pairs that
-_join_vertex carried down, as they are.  A component holds an even entry
-iff its lcm is even, so the ev-component is found from one parity test per
-component, with no pass over the entries; two components with even lcms
-are an InvariantViolation.
+The leaf hands _graph_from_components the (members, lcm) pairs as they
+are.  A component holds an even entry iff its lcm is even, so the
+ev-component is found from one parity test per component, with no pass
+over the entries; two components with even lcms are an InvariantViolation.
 
 The four records built once per scanned vector (LinkReport, GcdGraph,
 SphereClassification, StabilityReport) are slotted, not frozen, dataclasses:
@@ -27,25 +28,26 @@ value but are unhashable, so none is used as a dict key or a set member.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from decimal import Decimal
-from math import lcm
-from typing import Callable, Iterator, Optional, Sequence
+from fractions import Fraction
+from math import lcm, prod
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .arith import to_jsonable
 from .errors import check_budget
 from .lattice import SignatureResult, _outer_residues, _window_memo, tau_brute, tau_kernel
-from .stability import StabilityReport, _stability_report, k_stability
+from .stability import StabilityReport, _stability_report
 from .topology import (
     EvenDiffeoClass,
     OddDiffeoClass,
     SphereClassification,
+    _gcd_components,
     _graph_from_components,
     _integers,
     _join_vertex,
     _odd_diffeo_class,
     _sphere_from_graph,
-    classify_sphere,
     diffeo_class_even,
     exponent_vector,
 )
@@ -66,50 +68,37 @@ class LinkReport:
 
 
 def classify_link(
-    values: Sequence[int],
-    tau_method: str = "kernel",
-    budget: Optional[int] = None,
+    values: Sequence[int], tau_method: str = "kernel", budget: Optional[int] = None
 ) -> LinkReport:
     original = _integers(values)
     a = exponent_vector(original)
-    sphere = classify_sphere(a)
-    stability = k_stability(a)
+    comps = _gcd_components(a)
     signature = None
     if len(a) % 2 == 1:  # n = len(a) - 1 is even
         engine = tau_brute if tau_method == "brute" else tau_kernel
         signature = engine(a, budget=budget)
-    return _link_report(original, a, sphere, stability, signature)
+    p = prod(a)
+    return _link_report(original, a, comps, p, sum(p // ai for ai in a), lcm(*a), signature)
 
 
 def scan_links(
-    n: int,
-    amax: int,
-    cached: Optional[Callable[[tuple], Optional[SignatureResult]]] = None,
+    n: int, amax: int, known: Mapping[tuple, SignatureResult] = {}
 ) -> Iterator[LinkReport]:
     """classify_link of every sorted vector of n + 1 entries in 2..amax, in
     the order combinations_with_replacement gives.
 
     n is checked once; every vector is sorted with entries >= 2 by
-    construction.  For even n the signature is cached(a) when that is not
-    None, else tau_kernel(a) under the default budget.  The walk visits
-    every (A, B) under one a[:-2] in a row, so the residue DP's one-entry
-    outer memo builds one outer list per prefix, and its window memo is
-    shared across the scan.  Both memos are emptied when the walk starts,
-    so every scan starts cold.
+    construction.  For even n the signature of a is known[a] when a is a
+    key of known, else tau_kernel(a) under the default budget; known is
+    only read, so a caller may add to it while it iterates.  The walk
+    visits every (A, B) under one a[:-2] in a row, so the residue DP's
+    one-entry outer memo builds one outer list per prefix, and its window
+    memo is shared across the scan.  Both memos are emptied when the walk
+    starts, so every scan starts cold.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
     top = amax + 1
-
-    def leaf(a, comps, p, num, d):
-        sphere = _sphere_from_graph(_graph_from_components(a, comps))
-        stability = _stability_report(a, n, p, num, d)
-        signature = None
-        if n % 2 == 0:
-            signature = cached(a) if cached is not None else None
-            if signature is None:
-                signature = tau_kernel(a)
-        return _link_report(a, a, sphere, stability, signature)
 
     def walk(prefix, comps, p, num, d):
         i = len(prefix)
@@ -118,8 +107,9 @@ def scan_links(
             joined = _join_vertex(comps, i, v)
             if i < n:  # a is not yet n + 1 entries long
                 yield from walk(a, joined, p * v, num * v + p, lcm(d, v))
-            else:
-                yield leaf(a, joined, p * v, num * v + p, lcm(d, v))
+            else:  # a SignatureResult is never falsy: `or` computes on a miss only
+                signature = (known.get(a) or tau_kernel(a)) if n % 2 == 0 else None
+                yield _link_report(a, a, joined, p * v, num * v + p, lcm(d, v), signature)
 
     _outer_residues.cache_clear()
     _window_memo.cache_clear()
@@ -127,14 +117,14 @@ def scan_links(
 
 
 def _link_report(
-    original: tuple,
-    a: tuple,
-    sphere: SphereClassification,
-    stability: StabilityReport,
-    signature: Optional[SignatureResult],
+    original: tuple, a: tuple, comps, p: int, num: int, d: int, signature: Optional[SignatureResult]
 ) -> LinkReport:
-    """The LinkReport of a, with its bP class for a homotopy sphere."""
+    """The LinkReport of the sorted, validated vector a, given its gcd
+    components comps ((members, lcm) pairs in least-index order),
+    p = prod a_i, num = sum p/a_i, d = lcm a_i and, for even n, its
+    signature; a homotopy sphere gets its bP class."""
     n = len(a) - 1
+    sphere = _sphere_from_graph(_graph_from_components(a, comps))
     diffeo: Optional[object] = None
     if sphere.is_homotopy_sphere:
         if n % 2 == 0:
@@ -147,7 +137,7 @@ def _link_report(
         n=n,
         link_dimension=2 * n - 1,
         sphere=sphere,
-        stability=stability,
+        stability=_stability_report(a, n, p, num, d),
         signature=signature,
         diffeo=diffeo,
     )
@@ -171,34 +161,41 @@ def _check_printable(r: LinkReport) -> None:
     if sig is not None:
         bound += sig.plus_count + sig.minus_count + sig.boundary_skipped
     if bound.bit_length() > _ALWAYS_PRINTABLE_BITS:
-        ints = [stab.d, abs(stab.index_invariant), stab.sum_recip.numerator]
-        if sig is not None:
-            ints += [sig.plus_count, sig.minus_count, sig.boundary_skipped]
-        _check_digits(ints)
+        _check_digits(r)
 
 
-def _check_signature_printable(sig: SignatureResult) -> None:
-    """_check_printable of a record whose only long integers are sig's tau
-    and counts, as bplinks tau prints them; |tau| <= plus + minus."""
-    counts = [sig.plus_count, sig.minus_count, sig.boundary_skipped]
-    if sum(counts).bit_length() > _ALWAYS_PRINTABLE_BITS:
-        _check_digits(counts)
-
-
-def _check_digits(ints: list) -> None:
-    """Refuse when the longest of the non-negative ints has more decimal
-    digits than the interpreter's limit on integer string conversion."""
+def _check_digits(record) -> None:
+    """Refuse a record when the longest integer in it has more decimal
+    digits than the interpreter's limit on integer string conversion: the
+    one check of every record bplinks prints, made before any of it is
+    turned into text."""
     limit = sys.get_int_max_str_digits()
     if not limit:  # 0: no limit
         return
     check_budget(
         "the JSON record",
-        Decimal(max(ints)).adjusted() + 1,
+        Decimal(max(_ints(record), default=0)).adjusted() + 1,
         "decimal digits in one integer",
         limit,
         "the budget is the interpreter's limit on integer string conversion "
         "(PYTHONINTMAXSTRDIGITS)",
     )
+
+
+def _ints(x) -> Iterator[int]:
+    """The absolute values of the integers in x, through its dataclasses,
+    dicts, lists, tuples and Fractions."""
+    if is_dataclass(x):
+        x = [getattr(x, f.name) for f in fields(x)]
+    elif isinstance(x, dict):
+        x = list(x.values())
+    elif isinstance(x, Fraction):
+        x = [x.numerator, x.denominator]
+    if isinstance(x, int):
+        yield abs(x)
+    elif isinstance(x, (list, tuple)):
+        for v in x:
+            yield from _ints(v)
 
 
 def report_to_dict(r: LinkReport) -> dict:

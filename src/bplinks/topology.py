@@ -70,9 +70,6 @@ class GcdGraph:
     isolated: tuple  # indices of isolated vertices
     ev_component: tuple  # indices of the component holding all even entries
 
-    def component_values(self):
-        return tuple(tuple(self.vertices[i] for i in comp) for comp in self.components)
-
     def isolated_values(self):
         return tuple(self.vertices[i] for i in self.isolated)
 
@@ -86,15 +83,20 @@ def build_gcd_graph(a: Sequence[int]) -> GcdGraph:
     entries the fold makes at most s(s-1)/2 gcd tests, checked first by
     check_budget (default 10^8, env BPLINKS_TAU_BUDGET): s > 14142 refuses."""
     a = exponent_vector(a)
+    return _graph_from_components(a, _gcd_components(a))
+
+
+def _gcd_components(a: tuple) -> list:
+    """build_gcd_graph's fold over the sorted, validated vector a: its
+    components as (sorted indices, lcm of their values) pairs in
+    least-index order, refused first past the budget on gcd tests."""
     starts = [i for i in range(len(a)) if i == 0 or a[i] != a[i - 1]]
     check_budget("build_gcd_graph", len(starts) * (len(starts) - 1) // 2, "gcd tests")
     comps = ()
     for i in starts:
         comps = _join_vertex(comps, i, a[i])
     ends = dict(zip(starts, starts[1:] + [len(a)]))
-    return _graph_from_components(
-        a, [(tuple(j for i in c for j in range(i, ends[i])), m) for c, m in comps]
-    )
+    return [(tuple(j for i in c for j in range(i, ends[i])), m) for c, m in comps]
 
 
 def _graph_from_components(a: tuple, comps) -> GcdGraph:

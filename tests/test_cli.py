@@ -399,18 +399,22 @@ def test_scan_cache_reloads_every_record_and_closes(capsys, tmp_path, monkeypatc
 
 
 def test_scan_paranoid_detects_poisoned_cache(capsys, tmp_path):
-    cache = tmp_path / "scan.cache"
-    run_cli(capsys, "scan", "--n", "4", "--amax", "4", "--cache", str(cache))
-    lines = cache.read_text().splitlines()
-    rec = json.loads(lines[1])
-    rec["tau"] += 8  # poison one cached signature
-    lines[1] = json.dumps(rec)
-    cache.write_text("\n".join(lines) + "\n")
-    code, _, err = run_cli(
-        capsys, "scan", "--n", "4", "--amax", "4", "--cache", str(cache), "--paranoid"
-    )
-    assert code == 3
-    assert "invariant" in err
+    # a poisoned tau, and poisoned counts whose tau is still right
+    for case, poison in enumerate([{"tau": 8}, {"plus": 8, "minus": 8}]):
+        cache = tmp_path / f"scan{case}.cache"
+        run_cli(capsys, "scan", "--n", "4", "--amax", "4", "--cache", str(cache))
+        lines = cache.read_text().splitlines()
+        rec = json.loads(lines[1])
+        for field, delta in poison.items():
+            rec[field] += delta  # poison one cached signature
+        lines[1] = json.dumps(rec)
+        cache.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(
+            capsys, "scan", "--n", "4", "--amax", "4", "--cache", str(cache), "--paranoid"
+        )
+        assert code == 3, poison
+        assert "invariant" in err
+        assert err.count("SignatureResult(") == 2 and "cached" in err and "recomputed" in err
 
 
 def test_scan_refuses_corrupt_cache(capsys, tmp_path):
@@ -530,6 +534,28 @@ def test_tau_of_a_record_too_long_to_print_is_refused(capsys):
         pytest.skip("needs a limit on integer string conversion above 1 700 digits")
     big = [str(10**1600 + k) for k in (1, 3, 7)]
     code, lines, err = run_cli(capsys, "tau", "2", "2", *big)
+    assert code == 1 and lines == []
+    assert "decimal digits in one integer" in err and f"(budget {limit})" in err
+
+
+def test_family_of_a_record_too_long_to_print_is_refused(capsys):
+    # q = 10^1500 puts integers of ~4 500 digits in the exotic member's record
+    limit = sys.get_int_max_str_digits()
+    if not limit or limit > 4400:
+        pytest.skip("needs a limit on integer string conversion below 4 400 digits")
+    code, lines, err = run_cli(
+        capsys, "family", "exotic", "--m", "2", "--k", "1", "--l", "3", "--q", str(10**1500)
+    )
+    assert code == 1 and lines == []
+    assert "decimal digits in one integer" in err and f"(budget {limit})" in err
+
+
+def test_euler_of_a_record_too_long_to_print_is_refused(capsys):
+    # p = 10^1500 puts fractions of ~6 000 digits in the mean Euler record
+    limit = sys.get_int_max_str_digits()
+    if not limit or limit > 5900:
+        pytest.skip("needs a limit on integer string conversion below 5 900 digits")
+    code, lines, err = run_cli(capsys, "euler", "--n", "6", "--p", str(10**1500), "--l", "3")
     assert code == 1 and lines == []
     assert "decimal digits in one integer" in err and f"(budget {limit})" in err
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bplinks
-from bplinks import lattice
+from bplinks import lattice, report, stability, topology
 from bplinks.arith import BPOrder
 from bplinks.errors import RefusalError
 from bplinks.families import FamilySpec
@@ -42,17 +42,51 @@ def test_scan_links_matches_classify_link_record_by_record(n, amax):
 
 
 def test_scan_links_takes_cached_signatures_and_computes_the_rest():
-    asked = []
     given_sig = classify_link((2, 2, 2, 3, 7)).signature
-
-    def cached(a):
-        asked.append(a)
-        return given_sig if a == (2, 2, 2, 3, 5) else None
-
-    reports = {r.vector: r for r in scan_links(4, 5, cached)}
-    assert asked == list(reports)
+    reports = {r.vector: r for r in scan_links(4, 5, {(2, 2, 2, 3, 5): given_sig})}
+    assert list(reports) == list(combinations_with_replacement(range(2, 6), 5))
     assert reports[(2, 2, 2, 3, 5)].signature is given_sig
     assert reports[(2, 2, 2, 3, 4)] == classify_link((2, 2, 2, 3, 4))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_scan_links_computes_only_the_signatures_it_is_not_given(data):
+    n, amax = data.draw(st.sampled_from([(4, 6), (6, 4)]))
+    cold = list(scan_links(n, amax))
+    vectors = [r.vector for r in cold]
+    given_vectors = data.draw(st.sets(st.sampled_from(vectors)))
+    known = {r.vector: r.signature for r in cold if r.vector in given_vectors}
+    asked = []
+
+    def counting(a):
+        asked.append(a)
+        return tau_kernel(a)
+
+    tau_kernel = lattice.tau_kernel
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "tau_kernel", counting)
+        warm = list(scan_links(n, amax, known))
+    assert warm == cold
+    assert asked == [v for v in vectors if v not in known]
+    assert all(r.signature is known[r.vector] for r in warm if r.vector in known)
+
+
+def test_classify_link_validates_its_vector_once(monkeypatch):
+    # classify_link validates once; tau_kernel, at even n, once more
+    calls = []
+
+    def counting(values):
+        calls.append(tuple(values))
+        return exponent_vector(values)
+
+    exponent_vector = topology.exponent_vector
+    for module in (report, lattice, topology, stability):
+        monkeypatch.setattr(module, "exponent_vector", counting)
+    for a, expected in [((2, 3, 5, 7, 11), 2), ((2, 3, 5, 7, 11, 13), 1)]:
+        calls.clear()
+        classify_link(a)
+        assert len(calls) == expected, a
 
 
 def test_scan_links_checks_n_once():

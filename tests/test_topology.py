@@ -32,7 +32,7 @@ def test_exponent_vector_sorts_and_validates():
 
 def test_gcd_graph_examples():
     g = build_gcd_graph((2, 2, 2, 3, 5))
-    assert g.component_values() == ((2, 2, 2), (3,), (5,))
+    assert [[g.vertices[i] for i in c] for c in g.components] == [[2, 2, 2], [3], [5]]
     assert g.isolated_values() == (3, 5)
 
     g = build_gcd_graph((2, 2, 2, 2, 2))
