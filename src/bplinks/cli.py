@@ -9,8 +9,8 @@ The signature budget (points for tau_brute, residue-DP steps for
 tau_kernel) is set by --budget or the BPLINKS_TAU_BUDGET environment
 variable and bounds both methods; tau_kernel's closed form for
 (2, 2, a, b, c) with a, b, c pairwise coprime takes no DP steps, so the
-budget never refuses it.  The gcd graph, Bernoulli table and moduli read
-BPLINKS_TAU_BUDGET only; every budget refusal prints its estimate and limit.
+budget never refuses it.  The gcd graph, Bernoulli table, moduli and euler
+read BPLINKS_TAU_BUDGET only; every budget refusal prints its estimate and limit.
 
 scan iterates report.scan_links, which walks the sorted vectors and checks
 --n >= 3 once (argparse makes a smaller n a usage error before any work).
@@ -37,7 +37,6 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -47,7 +46,8 @@ from .families import brieskorn_reference, fit_exotic_tau, gen_exotic, gen_odd_d
 from .lattice import SignatureResult, tau_brute, tau_kernel
 from .moduli import mean_euler, moduli_dimension
 from .report import _check_digits, classify_link, report_to_dict, scan_links
-from .topology import classify_sphere, diffeo_class_even, exponent_vector
+from .topology import _gcd_components, _graph_from_components, _sphere_from_graph
+from .topology import diffeo_class_even, exponent_vector
 
 CACHE_VERSION = 1
 
@@ -183,9 +183,11 @@ def _cmd_tau(args) -> int:
         "method": sig.method,
     }
     n = len(a) - 1
-    if n % 2 == 0 and classify_sphere(a).is_homotopy_sphere:
-        cls = diffeo_class_even(n, sig.tau)
-        out["class"] = f"{cls.class_mod_bp} mod {cls.bp.order}"
+    if n % 2 == 0:  # the sphere decision folds the validated a, as classify_link does
+        graph = _graph_from_components(a, _gcd_components(a))
+        if _sphere_from_graph(graph).is_homotopy_sphere:
+            cls = diffeo_class_even(n, sig.tau)
+            out["class"] = f"{cls.class_mod_bp} mod {cls.bp.order}"
     _emit(out)
     return 0
 
@@ -236,7 +238,7 @@ def _cmd_moduli(args) -> int:
 
 
 def _cmd_euler(args) -> int:
-    rep = mean_euler(args.n, args.p, args.l, chi_p=args.chi_poly)
+    rep = mean_euler(args.n, args.p, args.l)
     _check_digits(rep)
     _emit(to_jsonable(asdict(rep)))
     return 0
@@ -289,13 +291,6 @@ def _int_at_least(lo: int):
 
     parse.__name__ = f"integer >= {lo}"
     return parse
-
-
-def _fraction_list(text: str) -> list:
-    try:
-        return [Fraction(c) for c in text.split(",")]
-    except (ValueError, ZeroDivisionError) as err:
-        raise argparse.ArgumentTypeError(f"bad coefficient list {text!r}: {err}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,9 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument(
-        "--chi-poly", type=_fraction_list, default=None, help="ascending coefficients c0,c1,..."
-    )
     p.set_defaults(func=_cmd_euler)
 
     p = sub.add_parser("scan", help="enumerate and classify sorted vectors")

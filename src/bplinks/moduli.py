@@ -1,21 +1,21 @@
 """Moduli dimension by one weighted-monomial DP, and the mean Euler
 characteristic table, for the exotic family; exotic_vector checks its shape.
 
-The circle-equivariant Euler characteristic of the principal p-stratum is
-an external input (only its leading term p^{n-4} is pinned down here), so
-every report carries the model used.
+Every stratum's circle-equivariant Euler characteristic comes from one exact
+rule in the eigenvalue-1 count of its sub-vector of the exponents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Optional, Sequence
+from math import comb, lcm
+from typing import Sequence
 
 from .errors import InvariantViolation, RefusalError, check_budget
 from .stability import k_stability
 from .families import exotic_vector
+from .topology import _eigenvalue_one_count
 
 __all__ = [
     "weighted_monomial_count",
@@ -26,13 +26,6 @@ __all__ = [
     "MeanEulerReport",
     "mean_euler",
 ]
-
-
-def _poly_eval(coeffs: Sequence[Fraction], x) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _monomial_table(weights: Sequence[int], degree: int) -> list:
@@ -137,50 +130,43 @@ class MeanEulerReport:
     mu_p: int
     phi_2: int
     chi_m: Fraction
-    chi_p_model: str
     strata: tuple
 
 
-def mean_euler(
-    n: int, p: int, l: int, chi_p: Optional[Sequence] = None
-) -> MeanEulerReport:
+def mean_euler(n: int, p: int, l: int) -> MeanEulerReport:
     """Mean Euler characteristic table for the exotic family member.
 
-    chi_p is the polynomial (ascending coefficients in p) modelling the
-    equivariant Euler characteristic of the p-stratum; it defaults to the
-    leading term p^(n-4), which is approximate and flagged as such in the
-    report.  chi_m = -(N1 + N2)/mu_P exactly as displayed in the two-line
-    sum over strata.
+    Each stratum is L(T) for a sub-vector T of the exponents, of period
+    lcm(T).  Its chi^{S^1} is the Euler characteristic of the orbit space X_T,
+    a quasi-smooth hypersurface of dimension |T| - 2 whose rational cohomology
+    is |T| - 1 hyperplane powers plus m_1(T) primitive middle classes
+    (Steenbrink 1977; Dolgachev 1982): chi = |T| - 1 + (-1)^|T| m_1(T).
+    chi_m = -(N1 + N2)/mu_P exactly as displayed in the two-line sum.
     """
     mu = maslov_index(n, p, l)  # checks the family shape
-    if chi_p is None:
-        model = f"leading-term p^{n - 4} (approximate)"
-        chi_p_value = Fraction(p) ** (n - 4)
-    else:
-        model = "user polynomial " + ",".join(str(c) for c in chi_p)
-        chi_p_value = _poly_eval(chi_p, p)
-
     d = p * (p + 1) * (p + l)
     phi_2 = d // 2 + 2 * p - p * p - p * l // 2
+    ps = (p,) * (n - 3)
     rows = [
-        ("L(2,2,p,...,p,p+1,p+l)", d, Fraction(n), 1),
-        ("L(2,2,p+1,p+l)", 2 * (p + 1) * (p + l), Fraction(3), p // 2 - 1),
-        ("L(p+1,p+l)", (p + 1) * (p + l), Fraction(1), p // 2),
-        ("L(2,2,p,...,p,p+l)", p * (p + l), Fraction(n - 1), p),
-        ("L(2,2,p,...,p,p+1)", p * (p + 1), Fraction(n - 1), p + l - 1),
-        ("L(2,2,p+l)", 2 * (p + l), Fraction(2), p * (p + 1) // 2 - 3 * p // 2),
-        ("L(2,2,p+1)", 2 * (p + 1), Fraction(2), p * (p + l) // 2 - 3 * p // 2 - l + 1),
-        ("L(2,2,p,...,p)", p, chi_p_value, (p + 1) * (p + l) - 2 * p - l),
-        ("L(2,2)", 2, Fraction(2), phi_2),
+        ("L(2,2,p,...,p,p+1,p+l)", (2, 2, *ps, p + 1, p + l), 1),
+        ("L(2,2,p+1,p+l)", (2, 2, p + 1, p + l), p // 2 - 1),
+        ("L(p+1,p+l)", (p + 1, p + l), p // 2),
+        ("L(2,2,p,...,p,p+l)", (2, 2, *ps, p + l), p),
+        ("L(2,2,p,...,p,p+1)", (2, 2, *ps, p + 1), p + l - 1),
+        ("L(2,2,p+l)", (2, 2, p + l), p * (p + 1) // 2 - 3 * p // 2),
+        ("L(2,2,p+1)", (2, 2, p + 1), p * (p + l) // 2 - 3 * p // 2 - l + 1),
+        ("L(2,2,p,...,p)", (2, 2, *ps), (p + 1) * (p + l) - 2 * p - l),
+        ("L(2,2)", (2, 2), phi_2),
     ]
     strata = []
-    for orbit_space, period, chi, freq in rows:
+    for orbit_space, t, freq in rows:
         if freq < 0:
             raise InvariantViolation(
                 f"negative frequency {freq} for stratum {orbit_space} at "
                 f"(n, p, l) = ({n}, {p}, {l})"
             )
-        strata.append(OrbitStratum(orbit_space, period, chi, freq))
+        chi = len(t) - 1 + (-1) ** len(t) * _eigenvalue_one_count(t)
+        strata.append(OrbitStratum(orbit_space, lcm(*t), Fraction(chi), freq))
 
     total = sum(s.chi_s1 * s.frequency for s in strata)
     chi_m = -total / mu
@@ -191,6 +177,5 @@ def mean_euler(
         mu_p=mu,
         phi_2=phi_2,
         chi_m=chi_m,
-        chi_p_model=model,
         strata=tuple(strata),
     )

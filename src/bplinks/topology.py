@@ -35,9 +35,9 @@ __all__ = [
 COND1 = "two_isolated_points"
 COND2 = "odd_isolated_point_with_ev_component"
 
-# Dimensions 4m+1 where bP_{4m+2} is trivial; 125 is the open Kervaire case.
-_TRIVIAL_BP_DIMS = {1, 5, 13, 29, 61}
-_OPEN_KERVAIRE_DIM = 125
+# Dimensions 4m+1 where bP_{4m+2} is trivial: a Kervaire invariant one
+# element exists in dimension 4m+2 (126: Lin, Wang and Xu 2024).
+_TRIVIAL_BP_DIMS = {1, 5, 13, 29, 61, 125}
 
 
 def exponent_vector(values: Sequence[int]) -> tuple:
@@ -203,7 +203,7 @@ class OddDiffeoClass:
     """Diffeomorphism data for odd n (link dimension 4m+1)."""
 
     arf: int  # 0 or 1
-    group: str  # "trivial", "order2", or "open125"
+    group: str  # "trivial" or "order2"
     dimension: int
 
 
@@ -247,12 +247,7 @@ def _odd_diffeo_class(cls: SphereClassification) -> OddDiffeoClass:
         if a0 % 8 in (3, 5) and covered == set(range(len(g.vertices))):
             arf = 1
 
-    if dim in _TRIVIAL_BP_DIMS:
-        group = "trivial"
-    elif dim == _OPEN_KERVAIRE_DIM:
-        group = "open125"
-    else:
-        group = "order2"
+    group = "trivial" if dim in _TRIVIAL_BP_DIMS else "order2"
     return OddDiffeoClass(arf=arf, group=group, dimension=dim)
 
 
@@ -265,3 +260,22 @@ def diffeo_class_even(n: int, tau: int) -> EvenDiffeoClass:
         raise InvariantViolation(f"signature {tau} is not divisible by 8")
     order = bp_order(n // 2)
     return EvenDiffeoClass(tau=tau, class_mod_bp=(tau // 8) % order.order, bp=order)
+
+
+def _eigenvalue_one_count(t: Sequence[int]) -> int:
+    """m_1(t) = #{x : 0 < x_i < t_i, sum_i x_i/t_i in Z}, by inclusion-exclusion
+    over the coordinates S allowed to be nonzero: m_1 = sum_S (-1)^(|t|-|S|)
+    prod(t_S)/lcm(t_S) (Milnor-Orlik 1970).  The r copies of one value v share
+    the lcm, so the binomial theorem sums them: (-1)^r for none, (v-1)^r - (-1)^r
+    for some.  s distinct values give 2^s terms, checked first by check_budget
+    (default 10^8, env BPLINKS_TAU_BUDGET)."""
+    runs = {}
+    for v in t:
+        runs[v] = runs.get(v, 0) + 1
+    check_budget("the eigenvalue-1 count", 1 << len(runs), "terms")
+    terms = [(1, 1)]  # (signed sum of products, lcm) per subset of the values
+    for v, r in runs.items():
+        none = (-1) ** r
+        some = (v - 1) ** r - none
+        terms = [x for c, m in terms for x in ((c * none, m), (c * some, lcm(m, v)))]
+    return sum(c // m for c, m in terms)

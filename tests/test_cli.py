@@ -106,6 +106,43 @@ def test_family_and_qpfit(capsys):
     assert all(row["match"] for row in fit["verify"])
 
 
+def test_family_odd_refuses_an_unproven_or_composite_pn(capsys):
+    # psi_12 passes Miller-Rabin to the bases 2..37 but is 399165290221 * 798330580441
+    psi_12, psi_13 = "318665857834031151167461", "3317044064679887385961981"
+    code, lines, err = run_cli(capsys, "family", "odd", "--m", "2", "--pn", psi_12)
+    assert code == 2 and lines == [] and "not prime" in err
+    # psi_13 passes every base through 41: the test is unproven from there on
+    code, lines, err = run_cli(capsys, "family", "odd", "--m", "2", "--pn", psi_13)
+    assert code == 1 and lines == [] and "unproven" in err
+
+
+def test_classify_dimension_125_is_trivial_like_13_and_29(capsys):
+    # a Kervaire invariant one element in dimension 126 makes bP_126 trivial
+    for twos, dim in ((7, 13), (15, 29), (63, 125)):
+        code, lines, _ = run_cli(capsys, "classify", *["2"] * twos, "3")
+        assert code == 0 and lines[0]["link_dimension"] == dim
+        assert (lines[0]["arf"], lines[0]["bp_group"]) == (1, "trivial")
+
+
+def test_tau_validates_its_vector_twice(monkeypatch, capsys):
+    # _cmd_tau validates once and the engine once more; the sphere decision
+    # folds the validated vector, as classify_link does
+    calls = []
+
+    def counting(values):
+        calls.append(tuple(values))
+        return exponent_vector(values)
+
+    exponent_vector = topology.exponent_vector
+    for module in (cli, report, lattice, topology):
+        monkeypatch.setattr(module, "exponent_vector", counting)
+    for method in ("kernel", "brute"):
+        calls.clear()
+        code, lines, _ = run_cli(capsys, "tau", "--method", method, "2", "2", "2", "3", "5")
+        assert code == 0 and lines[0]["class"] == "1 mod 28"
+        assert len(calls) == 2, method
+
+
 def test_qpfit_starts_at_least_admissible_q(capsys):
     # at m = 3 the K-stability gate refuses q = 1, (2, 2, 8, 8, 8, 9, 11)
     code, _, err = run_cli(capsys, "family", "exotic", "--m", "3", "--k", "1", "--q", "1")
@@ -134,7 +171,8 @@ def test_moduli_and_euler(capsys):
     assert code == 0
     out = lines[0]
     assert out["mu_p"] == 914 and out["phi_2"] == 336
-    assert out["chi_m"] == "-6009/914"
+    assert out["chi_m"] == "2151/914" and "chi_p_model" not in out
+    assert out["strata"][7]["chi_s1"] == "-38/1"  # the p-stratum
     assert [s["frequency"] for s in out["strata"]] == [1, 3, 4, 8, 10, 24, 30, 80, 336]
 
 
@@ -614,18 +652,6 @@ def test_closed_form_tau_ignores_budget(capsys):
     assert lines[0]["boundary_skipped"] == 0
 
 
-def test_bad_chi_poly_is_a_usage_error(capsys):
-    for bad in ("1/0", "1,x"):
-        with pytest.raises(SystemExit) as exc:
-            main(["euler", "--n", "4", "--p", "8", "--l", "3", "--chi-poly", bad])
-        assert exc.value.code == 2
-        assert "--chi-poly" in capsys.readouterr().err
-    code, lines, _ = run_cli(
-        capsys, "euler", "--n", "4", "--p", "8", "--l", "3", "--chi-poly", "1/2,3"
-    )
-    assert code == 0 and lines[0]["chi_p_model"] == "user polynomial 1/2,3"
-
-
 def test_qpfit_rejects_bad_counts(capsys):
     for flag, value in (("--samples", "0"), ("--samples", "-1"), ("--verify", "-2")):
         with pytest.raises(SystemExit) as exc:
@@ -728,7 +754,8 @@ def test_scan_cache_completes_a_last_line_missing_its_newline(capsys, tmp_path):
 # SHA-256 of the whole stdout of each CLI example in README, run in order
 # in one fresh directory.  Every digest but family odd's was recorded before
 # elapsed_s left the records, with that field dropped; family odd raised a
-# TypeError until its interval was encoded.
+# TypeError until its interval was encoded.  euler's was recorded again when
+# the p-stratum's chi_s1 became exact.
 README_DIGESTS = {
     "bplinks classify 2 2 2 3 5":
         "aab62debe1af5e8b3fbaf5eab810d293c19b0feab8a703a16cf5b0e1438eac99",
@@ -749,7 +776,7 @@ README_DIGESTS = {
     "bplinks moduli --n 6 --p 8 --l 3":
         "e4b6d16a21d9c9db53bbcd5928bff4d49c2dde7e1f6df0c082ca973d24bc7d0e",
     "bplinks euler --n 6 --p 8 --l 3":
-        "e31de6400b1c9b221cf10053dcf8fdfd55a7d77d1eb8154965c372e4ff6bd7bf",
+        "eb6cd71ae336e4b94a7ee77549aa77b77cb7dbf0be7381509d53d921c6a64d47",
     "bplinks scan --n 4 --amax 6 --filter sphere --cache scan.cache --paranoid":
         "855b8df6620d5f94021c0afdce92d3ff05415caa37a7a06aff9ddbd0a1818c32",
 }

@@ -27,6 +27,25 @@ def test_is_prime_small_and_carmichael():
     assert is_prime(2**61 - 1)
 
 
+def test_is_prime_agrees_with_a_sieve_below_10_4():
+    sieve = [True] * 10**4
+    sieve[0] = sieve[1] = False
+    for p in range(2, 100):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+    assert [n for n in range(10**4) if is_prime(n)] == [n for n in range(10**4) if sieve[n]]
+
+
+def test_is_prime_is_proven_below_psi_13_and_refuses_from_there():
+    psi_12 = 399165290221 * 798330580441  # a strong pseudoprime to bases 2..37
+    psi_13 = 1287836182261 * 2575672364521  # ... and to base 41 too
+    assert psi_12 == 318665857834031151167461 and not is_prime(psi_12)
+    assert is_prime(41)
+    for n in (psi_13, psi_13 + 2):
+        with pytest.raises(RefusalError, match="unproven"):
+            is_prime(n)
+
+
 def test_gen_odd_dim_examples():
     spec = gen_odd_dim(2, 101)
     assert spec.vector == (2, 2, 82, 86, 94, 101)

@@ -139,18 +139,37 @@ def test_maslov_equals_twice_index_invariant():
         checked += 1
 
 
-def test_mean_euler_example_default_model():
+def test_mean_euler_example():
     rep = mean_euler(6, 8, 3)
     assert rep.mu_p == 914
     assert rep.phi_2 == 336
     assert tuple(s.frequency for s in rep.strata) == (1, 3, 4, 8, 10, 24, 30, 80, 336)
-    assert rep.chi_m == Fraction(-6009, 914)
-    assert "approximate" in rep.chi_p_model
+    assert tuple(s.period for s in rep.strata) == (792, 198, 99, 88, 72, 22, 18, 8, 2)
+    assert rep.chi_m == Fraction(2151, 914)
+    assert rep.strata[7].chi_s1 == -38  # the p-stratum
 
 
-def test_mean_euler_custom_chi_polynomial():
-    rep = mean_euler(6, 8, 3, chi_p=[0])
-    assert rep.chi_m == Fraction(-889, 914)  # removes the 64 * 80 term
+def _family_regime():
+    for n in (4, 6, 8, 10):
+        for p in range(4, 60, 2):
+            for l in range(2, 12):
+                if gcd(p, l) == 1 and gcd(p + 1, l - 1) == 1:
+                    yield n, p, l
+
+
+def test_rule_gives_the_fixed_strata_their_constants():
+    # the eight strata other than the p-stratum (index 7) keep their old constants
+    for n, p, l in _family_regime():
+        chis = [s.chi_s1 for s in mean_euler(n, p, l).strata]
+        assert chis[:7] + chis[8:] == [n, 3, 1, n - 1, n - 1, 2, 2, 2], (n, p, l)
+
+
+def test_p_stratum_equals_its_closed_form():
+    # X_T for T = (2, 2, p^(n-3)) has odd dimension n - 3, m_1 counts the
+    # x in (1..p-1)^(n-3) summing to 0 mod p
+    for n, p, l in _family_regime():
+        m1 = ((p - 1) ** (n - 3) + (-1) ** (n - 3) * (p - 1)) // p
+        assert mean_euler(n, p, l).strata[7].chi_s1 == (n - 2) - m1, (n, p, l)
 
 
 def test_mean_euler_degenerate_guard():

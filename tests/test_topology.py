@@ -1,12 +1,14 @@
+import itertools
 import random
 import time
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bplinks import topology
 from bplinks.errors import InvariantViolation, RefusalError
+from bplinks.lattice import tau_brute
 from bplinks.report import scan_links
 from bplinks.topology import (
     COND1,
@@ -208,3 +210,29 @@ def test_diffeo_class_even_rejects_bad_tau():
         diffeo_class_even(4, 12)
     with pytest.raises(ValueError):
         diffeo_class_even(5, 8)
+
+
+def _brute_eigenvalue_one_count(t):
+    d = lcm(*t)
+    weights = [d // a for a in t]
+    boxes = itertools.product(*(range(1, a) for a in t))
+    return sum(1 for x in boxes if sum(xi * w for xi, w in zip(x, weights)) % d == 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(2, 9), min_size=2, max_size=6))
+def test_eigenvalue_one_count_matches_enumeration(t):
+    m1 = topology._eigenvalue_one_count(t)
+    assert m1 == _brute_eigenvalue_one_count(t)
+    if len(t) >= 4:  # tau_brute's boundary points are the same x
+        assert m1 == tau_brute(t).boundary_skipped
+
+
+def test_eigenvalue_one_count_refuses_past_the_budget(monkeypatch):
+    # 4 distinct values make 2^4 terms
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "15")
+    with pytest.raises(RefusalError, match="eigenvalue-1 count would take ~16 terms") as exc:
+        topology._eigenvalue_one_count((2, 3, 3, 5, 7))
+    assert (exc.value.estimate, exc.value.budget) == (16, 15)
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "16")
+    assert topology._eigenvalue_one_count((2, 3, 3, 5, 7)) == 0
