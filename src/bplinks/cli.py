@@ -5,12 +5,12 @@ Exit codes: 0 success, 1 refusal (budget, missing primes, regime, an
 unusable or corrupt cache, a record holding an integer longer than the
 interpreter prints, checked by report._check_digits before any printing),
 2 usage error, 3 internal invariant violation.
-The signature budget (points for tau_brute, residue-DP steps for
-tau_kernel) is set by --budget or the BPLINKS_TAU_BUDGET environment
-variable and bounds both methods; tau_kernel's closed form for
-(2, 2, a, b, c) with a, b, c pairwise coprime takes no DP steps, so the
-budget never refuses it.  The gcd graph, Bernoulli table, moduli and euler
-read BPLINKS_TAU_BUDGET only; every budget refusal prints its estimate and limit.
+The BPLINKS_TAU_BUDGET environment variable (default 10^8) is the one
+budget: it bounds the box points of tau_brute, the residue-DP steps of
+tau_kernel, the gcd graph, the Bernoulli table, moduli and euler.
+tau_kernel's closed form for (2, 2, a, b, c) with a, b, c pairwise
+coprime takes no DP steps, so the budget never refuses it.  Every budget
+refusal prints its estimate and limit.
 
 scan iterates report.scan_links, which walks the sorted vectors and checks
 --n >= 3 once (argparse makes a smaller n a usage error before any work).
@@ -164,7 +164,7 @@ def _cached_signature(rec: dict) -> SignatureResult:
 
 
 def _cmd_classify(args) -> int:
-    rep = classify_link(args.exponents, tau_method=args.method, budget=args.budget)
+    rep = classify_link(args.exponents)
     _emit(report_to_dict(rep))
     return 0
 
@@ -172,7 +172,7 @@ def _cmd_classify(args) -> int:
 def _cmd_tau(args) -> int:
     a = exponent_vector(args.exponents)
     engine = tau_brute if args.method == "brute" else tau_kernel
-    sig = engine(a, budget=args.budget)
+    sig = engine(a)
     _check_digits(sig)
     out = {
         "vector": list(a),
@@ -305,14 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="full classification of one link")
     p.add_argument("exponents", type=int, nargs="+")
-    p.add_argument("--method", choices=["brute", "kernel"], default="kernel")
-    p.add_argument("--budget", type=_int_at_least(0), default=None)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("tau", help="Milnor-fiber signature only")
     p.add_argument("exponents", type=int, nargs="+")
     p.add_argument("--method", choices=["brute", "kernel"], default="kernel")
-    p.add_argument("--budget", type=_int_at_least(0), default=None)
     p.set_defaults(func=_cmd_tau)
 
     p = sub.add_parser("qpfit", help="fit the signature quasi-polynomial of the exotic family")

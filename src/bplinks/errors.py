@@ -18,16 +18,19 @@ _BUDGET_ENV = "BPLINKS_TAU_BUDGET"
 
 def _resolve_budget(budget: int | None) -> int:
     """An explicit budget, else BPLINKS_TAU_BUDGET, else DEFAULT_BUDGET.  A
-    variable that is not an integer is a ValueError that names it."""
+    variable that is not an integer >= 0 is a ValueError that names it."""
     if budget is not None:
         return budget
     env = os.environ.get(_BUDGET_ENV)
     if not env:
         return DEFAULT_BUDGET
     try:
-        return int(env)
+        value = int(env)
     except ValueError:
         raise ValueError(f"{_BUDGET_ENV} must be an integer, got {env!r}") from None
+    if value < 0:
+        raise ValueError(f"{_BUDGET_ENV} must be >= 0, got {value}")
+    return value
 
 
 def check_budget(work, estimate, unit, budget=None, hint="raise BPLINKS_TAU_BUDGET") -> None:

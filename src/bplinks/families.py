@@ -102,7 +102,11 @@ def gen_odd_dim(m: int, p_n: int) -> FamilySpec:
 def gen_standard(m: int, k: int) -> FamilySpec:
     """Standard-sphere family (n = 2m, s = n-1): a = (s, ..., s, p, q) with
     p = sk+1, q = sp-1.  For k a multiple of 16|bP_{4m}| the class tau/8 is
-    divisible by |bP_{4m}|, i.e. the sphere is standard."""
+    divisible by |bP_{4m}|, i.e. the sphere is standard.
+
+    s, p, q are pairwise coprime and s < p < q < sp by construction:
+    gcd(s, p) = gcd(s, 1), gcd(s, q) = gcd(s, -1) and gcd(p, q) = gcd(p, -1),
+    and with s >= 3 and k >= 2, p = sk + 1 > s and p < q = sp - 1 < sp."""
     if m < 2 or k < 2:
         raise ValueError("gen_standard requires m >= 2 and k >= 2")
     bp = bp_order(m)  # refuses a huge m before the vector is classified
@@ -110,10 +114,6 @@ def gen_standard(m: int, k: int) -> FamilySpec:
     s = n - 1
     p = s * k + 1
     q = s * p - 1
-    if not (gcd(s, p) == gcd(s, q) == gcd(p, q) == 1):
-        raise RefusalError(f"s={s}, p={p}, q={q} are not pairwise coprime")
-    if not s < p < q < s * p:
-        raise RefusalError(f"ordering s < p < q < sp fails for s={s}, p={p}, q={q}")
     vector = exponent_vector([s] * (n - 1) + [p, q])
     stab = k_stability(vector)
     if not stab.k_polystable:

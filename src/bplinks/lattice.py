@@ -178,18 +178,16 @@ def _window_counts(r: int, L: int, A: int, B: int):
 # Signature
 
 
-def tau_brute(a: Sequence[int], budget: int | None = None) -> SignatureResult:
+def tau_brute(a: Sequence[int]) -> SignatureResult:
     """Signature by full enumeration of the open box 0 < x_i < a_i.
 
     Works in integers: with d = lcm(a_i) and w_i = d/a_i, the residue of
     d * sum(x_i/a_i) mod 2d lands in (0, d) for a +1 point and (d, 2d) for
-    a -1 point.  The box points are checked first by check_budget (default
-    10^8, env override BPLINKS_TAU_BUDGET).
+    a -1 point.  The box points are checked first against
+    BPLINKS_TAU_BUDGET (default 10^8).
     """
     a = exponent_vector(a)
-    check_budget(
-        "tau_brute", prod(ai - 1 for ai in a), "box points", budget, "use tau_kernel instead"
-    )
+    check_budget("tau_brute", prod(ai - 1 for ai in a), "box points", hint="use tau_kernel instead")
     d = lcm(*a)
     mod = 2 * d
     counts = {0: 1}
@@ -260,7 +258,7 @@ def _tetrahedron_interior(a: int, b: int, c: int) -> int:
     return m
 
 
-def tau_kernel(a: Sequence[int], budget: int | None = None) -> SignatureResult:
+def tau_kernel(a: Sequence[int]) -> SignatureResult:
     """Signature via the 2-coordinate kernel.
 
     The sorted shape (2, 2, a, b, c) with a, b, c pairwise coprime (the n = 4
@@ -270,16 +268,15 @@ def tau_kernel(a: Sequence[int], budget: int | None = None) -> SignatureResult:
     the flip x -> a - x maps t < 1 onto t > 2.  So minus = 2M and
     plus = (a-1)(b-1)(c-1) - 2M, with M the tetrahedron's interior count
     (_tetrahedron_interior: three Dedekind sums, O(log)).  It takes no DP
-    steps, so the budget does not apply and it never refuses.
+    steps, so no budget applies and it never refuses.
 
     Every other vector takes the residue DP (_tau_residue_dp), whose work
-    is estimated first and checked by check_budget (default 10^8, env
-    override BPLINKS_TAU_BUDGET).
+    is estimated first and refused past BPLINKS_TAU_BUDGET (default 10^8).
     """
     a = exponent_vector(a)
     A, B, C = a[-3:]
     if len(a) != 5 or a[1] != 2 or gcd(A, B) * gcd(A, C) * gcd(B, C) != 1:
-        return _tau_residue_dp(a, budget)
+        return _tau_residue_dp(a)
     minus = 2 * _tetrahedron_interior(A, B, C)
     plus = (A - 1) * (B - 1) * (C - 1) - minus
     return SignatureResult(
@@ -291,7 +288,7 @@ def tau_kernel(a: Sequence[int], budget: int | None = None) -> SignatureResult:
     )
 
 
-def _tau_residue_dp(a: tuple, budget: int | None) -> SignatureResult:
+def _tau_residue_dp(a: tuple) -> SignatureResult:
     """Signature of a validated vector by the residue DP: the two largest
     exponents A, B form the inner box, the outer coordinates are folded.
 
@@ -304,8 +301,8 @@ def _tau_residue_dp(a: tuple, budget: int | None) -> SignatureResult:
     that share their outer exponents share one outer list, and every
     vector shares the window counts of the offsets and inner boxes it
     meets.  The DP work is estimated from the outer exponents and refused
-    beyond the budget before either memo is read, so a vector refuses the
-    same way whatever was computed before it.
+    past BPLINKS_TAU_BUDGET before either memo is read, so a vector refuses
+    the same way whatever was computed before it.
     """
     A, B = a[-2], a[-1]
     outer = a[:-2]
@@ -316,9 +313,7 @@ def _tau_residue_dp(a: tuple, budget: int | None) -> SignatureResult:
         estimate += states * (ai - 1)
         states = min(states * (ai - 1), mod)
     estimate += states  # one window count per residue
-    check_budget(
-        "tau_kernel", estimate, "residue steps", budget, "raise --budget or BPLINKS_TAU_BUDGET"
-    )
+    check_budget("tau_kernel", estimate, "residue steps")
     plus = minus = boundary = 0
     for num, den, same, other in _outer_residues(outer, L):
         p, mn, b = _window_memo(num, den, A, B)
@@ -453,14 +448,13 @@ def _coord_range_size(spec: CountSpec, i: int) -> int:
     return max(0, hi - lo + 1)
 
 
-def count_box(spec: CountSpec, budget: int | None = None) -> int:
+def count_box(spec: CountSpec) -> int:
     """Exact count for a CountSpec by visiting every point, one Fraction
     sum per coordinate: the independent oracle for delta_closed and
     beta_via_gamma.  The points are estimated first (the product of the
-    coordinate ranges) and checked by check_budget (default 10^8, env
-    override BPLINKS_TAU_BUDGET)."""
+    coordinate ranges) and refused past BPLINKS_TAU_BUDGET (default 10^8)."""
     estimate = prod(_coord_range_size(spec, i) for i in range(len(spec.denoms)))
-    check_budget("count_box", estimate, "points", budget, "raise the budget or BPLINKS_TAU_BUDGET")
+    check_budget("count_box", estimate, "points")
     k = len(spec.denoms)
     total = 0
 

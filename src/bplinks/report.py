@@ -36,7 +36,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from .arith import to_jsonable
 from .errors import check_budget
-from .lattice import SignatureResult, _outer_residues, _window_memo, tau_brute, tau_kernel
+from .lattice import SignatureResult, _outer_residues, _window_memo, tau_kernel
 from .stability import StabilityReport, _stability_report
 from .topology import (
     EvenDiffeoClass,
@@ -67,16 +67,11 @@ class LinkReport:
     diffeo: Optional[object]  # EvenDiffeoClass | OddDiffeoClass
 
 
-def classify_link(
-    values: Sequence[int], tau_method: str = "kernel", budget: Optional[int] = None
-) -> LinkReport:
+def classify_link(values: Sequence[int]) -> LinkReport:
     original = _integers(values)
     a = exponent_vector(original)
     comps = _gcd_components(a)
-    signature = None
-    if len(a) % 2 == 1:  # n = len(a) - 1 is even
-        engine = tau_brute if tau_method == "brute" else tau_kernel
-        signature = engine(a, budget=budget)
+    signature = tau_kernel(a) if len(a) % 2 == 1 else None  # n = len(a) - 1 is even
     p = prod(a)
     return _link_report(original, a, comps, p, sum(p // ai for ai in a), lcm(*a), signature)
 
@@ -89,12 +84,11 @@ def scan_links(
 
     n is checked once; every vector is sorted with entries >= 2 by
     construction.  For even n the signature of a is known[a] when a is a
-    key of known, else tau_kernel(a) under the default budget; known is
-    only read, so a caller may add to it while it iterates.  The walk
-    visits every (A, B) under one a[:-2] in a row, so the residue DP's
-    one-entry outer memo builds one outer list per prefix, and its window
-    memo is shared across the scan.  Both memos are emptied when the walk
-    starts, so every scan starts cold.
+    key of known, else tau_kernel(a); known is only read, so a caller may
+    add to it while it iterates.  The walk visits every (A, B) under one
+    a[:-2] in a row, so the residue DP's one-entry outer memo builds one
+    outer list per prefix, and its window memo is shared across the scan.
+    Both memos are emptied when the walk starts, so every scan starts cold.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import io
 import json
+import re
 import shlex
 import sys
 import tempfile
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bplinks import arith, cli, families, lattice, report, topology
+from bplinks import arith, cli, errors, families, lattice, report, topology
 from bplinks.cli import main
 from bplinks.primes import is_prime
 from bplinks.report import classify_link, report_to_dict
@@ -598,14 +600,13 @@ def test_euler_of_a_record_too_long_to_print_is_refused(capsys):
     assert "decimal digits in one integer" in err and f"(budget {limit})" in err
 
 
-def test_refusal_exits_1(capsys):
+def test_refusal_exits_1(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "family", "odd", "--m", "2", "--pn", "7")
     assert code == 1
     assert "refused" in err
 
-    code, _, err = run_cli(
-        capsys, "tau", "--method", "brute", "--budget", "5", "2", "2", "2", "3", "5"
-    )
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "5")
+    code, _, err = run_cli(capsys, "tau", "--method", "brute", "2", "2", "2", "3", "5")
     assert code == 1
     assert "budget" in err
 
@@ -614,10 +615,12 @@ def test_kernel_budget_refusal_exits_1(capsys, monkeypatch):
     # outer (2, 2, 2) of (2, 2, 2, 3, 9) costs the kernel 4 residue steps
     # ((2, 2, 2, 3, 5) takes the budget-free closed form: 2, 3, 5 are coprime)
     for cmd in ("tau", "classify"):
-        code, lines, err = run_cli(capsys, cmd, "--budget", "3", "2", "2", "2", "3", "9")
+        monkeypatch.setenv("BPLINKS_TAU_BUDGET", "3")
+        code, lines, err = run_cli(capsys, cmd, "2", "2", "2", "3", "9")
         assert code == 1 and lines == []
-        assert "budget 3" in err
-        code, lines, _ = run_cli(capsys, cmd, "--budget", "4", "2", "2", "2", "3", "9")
+        assert "(budget 3); raise BPLINKS_TAU_BUDGET\n" in err
+        monkeypatch.setenv("BPLINKS_TAU_BUDGET", "4")
+        code, lines, _ = run_cli(capsys, cmd, "2", "2", "2", "3", "9")
         assert code == 0 and lines[0]["tau"] == 12
 
     monkeypatch.delenv("BPLINKS_TAU_BUDGET", raising=False)
@@ -628,12 +631,27 @@ def test_kernel_budget_refusal_exits_1(capsys, monkeypatch):
     assert "~2081992858 " in err and "(budget 100000000)" in err
 
 
-def test_negative_budget_is_a_usage_error(capsys):
+def test_negative_budget_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "-1")
     for cmd in ("tau", "classify"):
-        with pytest.raises(SystemExit) as exc:
-            main([cmd, "2", "3", "5", "7", "11", "--budget", "-1"])
-        assert exc.value.code == 2
-        assert "--budget: must be >= 0, got -1" in capsys.readouterr().err
+        code, lines, err = run_cli(capsys, cmd, "2", "3", "5", "7", "11")
+        assert code == 2 and lines == []
+        assert err == "error: BPLINKS_TAU_BUDGET must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "classify --budget 5 2 2 2 3 9",
+        "classify --method brute 2 2 2 3 9",
+        "tau --budget 5 2 2 2 3 9",
+    ],
+)
+def test_removed_budget_and_method_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_non_integer_budget_variable_is_named(capsys, monkeypatch):
@@ -646,10 +664,17 @@ def test_non_integer_budget_variable_is_named(capsys, monkeypatch):
     assert err == "error: BPLINKS_TAU_BUDGET must be an integer, got 'abc'\n"
 
 
-def test_closed_form_tau_ignores_budget(capsys):
-    code, lines, _ = run_cli(capsys, "tau", "--budget", "1", "2", "2", "338", "339", "341")
+def test_closed_form_tau_ignores_budget(capsys, monkeypatch):
+    # the budget also bounds the gcd graph (6 tests) and, from a fresh table,
+    # the Bernoulli numbers up to B_4 (20 term steps); the residue DP of the
+    # same vector would take 676 steps
+    monkeypatch.setattr(arith, "_bernoulli", [Fraction(1), Fraction(-1, 2)])
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "20")
+    code, lines, _ = run_cli(capsys, "tau", "2", "2", "338", "339", "341")
     assert code == 0 and lines[0]["tau"] == 13023816
     assert lines[0]["boundary_skipped"] == 0
+    with pytest.raises(errors.RefusalError, match=r"~676 .*\(budget 20\)"):
+        lattice._tau_residue_dp((2, 2, 338, 339, 341))
 
 
 def test_qpfit_rejects_bad_counts(capsys):
@@ -804,3 +829,25 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
         assert code == 0, line
         assert all(json.loads(rec) for rec in out.splitlines()), line
         assert hashlib.sha256(out.encode()).hexdigest() == README_DIGESTS[line], line
+
+
+def test_readme_cli_options_are_parser_options():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        opt
+        for p in (parser, *sub.choices.values())
+        for action in p._actions
+        for opt in action.option_strings
+    }
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n")[1].split("\n## ")[0]
+    tokens = set(re.findall(r"--[a-z][a-z-]*", section))
+    assert "--method" in tokens and tokens - options == set()
+
+
+def test_family_odd_without_pn_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "odd", "--m", "2"])
+    assert exc.value.code == 2
+    assert "error: family odd requires --pn" in capsys.readouterr().err

@@ -17,9 +17,14 @@ def _bp_order_from_two_entries(monkeypatch):
     bp_order(5)
 
 
-def _moduli_past_env(monkeypatch):
-    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "4301")
-    moduli_dimension(6, 8, 3)
+def _past_env(limit, call, *args):
+    """call(*args) under BPLINKS_TAU_BUDGET = limit."""
+
+    def run(monkeypatch):
+        monkeypatch.setenv("BPLINKS_TAU_BUDGET", str(limit))
+        call(*args)
+
+    return run
 
 
 _BOX = count_spec((4, 5, 7), 3, lower_open=True, upper_bounded=True)
@@ -28,11 +33,11 @@ _BOX = count_spec((4, 5, 7), 3, lower_open=True, upper_bounded=True)
 @pytest.mark.parametrize(
     "call, estimate, budget",
     [
-        (lambda mp: tau_brute((2, 2, 2, 3, 5), budget=7), 8, 7),
-        (lambda mp: tau_kernel((3, 3, 3, 7, 20), budget=19), 20, 19),
-        (lambda mp: count_box(_BOX, budget=71), 72, 71),
+        (_past_env(7, tau_brute, (2, 2, 2, 3, 5)), 8, 7),
+        (_past_env(19, tau_kernel, (3, 3, 3, 7, 20)), 20, 19),
+        (_past_env(71, count_box, _BOX), 72, 71),
         (_bp_order_from_two_entries, 220, 219),
-        (_moduli_past_env, 4302, 4301),
+        (_past_env(4301, moduli_dimension, 6, 8, 3), 4302, 4301),
         # 20 000 distinct entries: 20000 * 19999 / 2 gcd tests
         (lambda mp: build_gcd_graph(range(2, 20002)), 199990000, 10**8),
     ],

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -80,6 +81,15 @@ def test_gen_standard_example():
 
     spec = gen_standard(3, 448)  # modulus 992 needs 16 * 992 | k instead
     assert spec.expectations["expected_class_zero"] is False
+
+
+def test_gen_standard_members_are_pairwise_coprime_and_ordered():
+    for m in range(2, 6):
+        for k in range(2, 61):
+            d = gen_standard(m, k).derived
+            s, p, q = d["s"], d["p"], d["q"]
+            assert gcd(s, p) == gcd(s, q) == gcd(p, q) == 1, (m, k)
+            assert s < p < q < s * p, (m, k)
 
 
 def test_gen_exotic_example():

@@ -422,7 +422,7 @@ def test_tetrahedron_form_matches_residue_dp_on_small_triples():
     assert len(triples) > 3000
     for t in triples:
         a = (2, 2, *t)
-        assert _fields(tau_kernel(a)) == _fields(_tau_residue_dp(a, None)), a
+        assert _fields(tau_kernel(a)) == _fields(_tau_residue_dp(a)), a
 
 
 def _next_coprime(x: int, m: int) -> int:
@@ -441,23 +441,25 @@ def test_tetrahedron_form_matches_residue_dp_on_large_triples(a, b, c):
     b = _next_coprime(b, a)
     c = _next_coprime(c, a * b)
     vec = exponent_vector((2, 2, a, b, c))
-    assert _fields(tau_kernel(vec)) == _fields(_tau_residue_dp(vec, None)), vec
+    assert _fields(tau_kernel(vec)) == _fields(_tau_residue_dp(vec)), vec
 
 
-def test_tetrahedron_form_takes_no_budget_on_the_large_exotic_member():
+def test_tetrahedron_form_takes_no_budget_on_the_large_exotic_member(monkeypatch):
     # n = 4 exotic family at p = 812002 (l = 3): the residue DP takes seconds
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "1")
     start = time.perf_counter()
-    sig = tau_kernel((2, 2, 812002, 812003, 812005), budget=1)
+    sig = tau_kernel((2, 2, 812002, 812003, 812005))
     assert time.perf_counter() - start < 0.01
     assert sig.tau == 178464640487578672  # the residue DP's value
     assert sig.boundary_skipped == 0 and sig.method == "kernel"
     with pytest.raises(RefusalError):  # the shape test is exact: (2, 3, 3) is not coprime
-        tau_kernel((2, 2, 3, 3, 812005), budget=1)
+        tau_kernel((2, 2, 3, 3, 812005))
 
 
-def test_tau_brute_budget_refusal():
-    with pytest.raises(RefusalError):
-        tau_brute((2, 2, 338, 339, 341), budget=10**6)
+def test_tau_brute_budget_refusal(monkeypatch):
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", str(10**6))
+    with pytest.raises(RefusalError, match=r"\(budget 1000000\); use tau_kernel instead$"):
+        tau_brute((2, 2, 338, 339, 341))
 
 
 def test_tau_budget_env_override(monkeypatch):
@@ -474,9 +476,10 @@ def test_tau_kernel_budget_env_override(monkeypatch):
     monkeypatch.setenv("BPLINKS_TAU_BUDGET", "19")
     with pytest.raises(RefusalError, match=r"~20 .*budget 19\)"):
         tau_kernel(a)
-    assert tau_kernel(a, budget=20).method == "kernel"  # an explicit budget wins
     monkeypatch.setenv("BPLINKS_TAU_BUDGET", "20")
-    assert tau_kernel(a).tau == tau_brute(a, budget=912).tau
+    tau = tau_kernel(a).tau
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "912")
+    assert tau == tau_brute(a).tau
 
 
 def test_tau_kernel_refuses_eleven_primes_quickly(monkeypatch):
@@ -532,15 +535,17 @@ def test_count_box_matches_oracle_on_randoms():
         assert count_box(spec) == want, spec
 
 
-def test_count_box_enumeration_budget_refusal():
-    spec = count_spec((100, 100, 100), 3)
+def test_count_box_enumeration_budget_refusal(monkeypatch):
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "1000")
     with pytest.raises(RefusalError):
-        count_box(spec, budget=1000)
+        count_box(count_spec((100, 100, 100), 3))
     # 3 * 4 * 6 points; the estimate is exact on a bounded open box
     spec = count_spec((4, 5, 7), 3, lower_open=True, upper_bounded=True)
-    with pytest.raises(RefusalError, match=r"~72 .*budget 71\)"):
-        count_box(spec, budget=71)
-    assert count_box(spec, budget=72) == 72
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "71")
+    with pytest.raises(RefusalError, match=r"~72 .*budget 71\); raise BPLINKS_TAU_BUDGET$"):
+        count_box(spec)
+    monkeypatch.setenv("BPLINKS_TAU_BUDGET", "72")
+    assert count_box(spec) == 72
 
 
 def test_count_box_refuses_a_huge_box_quickly(monkeypatch):
