@@ -86,7 +86,7 @@ def bp_order(m: int) -> BPOrder:
     num = abs(4 * b.numerator)
     num //= gcd(num, m * b.denominator)
     order = 2 ** (2 * m - 2) * (2 ** (2 * m - 1) - 1) * num
-    return BPOrder(m=m, order=order)
+    return BPOrder(m, order)
 
 
 def bounded_compositions(sigma: int, parts: int, lo: int, hi: int | None = None) -> int:

@@ -279,13 +279,7 @@ def tau_kernel(a: Sequence[int]) -> SignatureResult:
         return _tau_residue_dp(a)
     minus = 2 * _tetrahedron_interior(A, B, C)
     plus = (A - 1) * (B - 1) * (C - 1) - minus
-    return SignatureResult(
-        tau=plus - minus,
-        plus_count=plus,
-        minus_count=minus,
-        boundary_skipped=0,
-        method="kernel",
-    )
+    return SignatureResult(plus - minus, plus, minus, 0, "kernel")
 
 
 def _tau_residue_dp(a: tuple) -> SignatureResult:
@@ -320,13 +314,7 @@ def _tau_residue_dp(a: tuple) -> SignatureResult:
         plus += same * p + other * mn
         minus += other * p + same * mn
         boundary += (same + other) * b
-    return SignatureResult(
-        tau=plus - minus,
-        plus_count=plus,
-        minus_count=minus,
-        boundary_skipped=boundary,
-        method="kernel",
-    )
+    return SignatureResult(plus - minus, plus, minus, boundary, "kernel")
 
 
 @lru_cache(maxsize=1 << 14)

@@ -9,20 +9,25 @@ product P of its entries, N = sum P/a_i and their lcm, so each vector costs
 one step on its parent's state instead of a validation, a graph search and
 three reductions.  Both build every record in one leaf, _link_report,
 from the gcd components, P, N, lcm and signature: classify_link validates
-its vector once and takes them from build_gcd_graph's fold, prod, sum and
-lcm; the walk passes its carried state and reads known signatures from a
-mapping (the scan cache's entries).  classify_link is the walk's oracle in
-the tests.
+its vector once (tau_kernel, at even n, once more) and takes them from
+build_gcd_graph's fold, prod, sum and lcm; the walk passes its carried
+state and reads known signatures from a mapping (the scan cache's
+entries).  classify_link is the walk's oracle in the tests.
 
 The leaf hands _graph_from_components the (members, lcm) pairs as they
-are.  A component holds an even entry iff its lcm is even, so the
-ev-component is found from one parity test per component, with no pass
-over the entries; two components with even lcms are an InvariantViolation.
+are, and it builds the GcdGraph in one loop over them.  A component holds
+an even entry iff its lcm is even, so the ev-component is found from one
+parity test per component, with no pass over the entries; two components
+with even lcms are an InvariantViolation.
 
 The four records built once per scanned vector (LinkReport, GcdGraph,
 SphereClassification, StabilityReport) are slotted, not frozen, dataclasses:
 a frozen __init__ pays an object.__setattr__ per field.  They compare by
 value but are unhashable, so none is used as a dict key or a set member.
+The leaf and the kernels it calls build every record positionally, in
+field order: a dataclass __init__ matches each keyword at about 40 ns on
+CPython 3.11, so StabilityReport's 11 keywords took 0.65 us against
+0.25 us positionally.
 """
 
 from __future__ import annotations
@@ -125,16 +130,8 @@ def _link_report(
             diffeo = diffeo_class_even(n, signature.tau)
         else:
             diffeo = _odd_diffeo_class(sphere)
-    return LinkReport(
-        input_vector=original,
-        vector=a,
-        n=n,
-        link_dimension=2 * n - 1,
-        sphere=sphere,
-        stability=_stability_report(a, n, p, num, d),
-        signature=signature,
-        diffeo=diffeo,
-    )
+    stability = _stability_report(a, n, p, num, d)
+    return LinkReport(original, a, n, 2 * n - 1, sphere, stability, signature, diffeo)
 
 
 # every integer below 2**2126 has at most 640 decimal digits, the least

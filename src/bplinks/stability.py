@@ -84,17 +84,7 @@ def _stability_report(a: tuple, n: int, p: int, num: int, d: int) -> StabilityRe
             f"sum={s}, I={index}, n*d_n={n * weights[-1]}"
         )
     return StabilityReport(
-        vector=a,
-        sum_recip=s,
-        log_fano=log_fano,
-        k_semistable=semi,
-        k_polystable=poly,
-        se_metric_exists=poly,
-        boundary_semistable=semi and not poly,
-        d=d,
-        weights=weights,
-        index_invariant=index,
-        contact=_contact(n, index),
+        a, s, log_fano, semi, poly, poly, semi and not poly, d, weights, index, _contact(n, index)
     )
 
 

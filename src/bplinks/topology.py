@@ -104,14 +104,17 @@ def _graph_from_components(a: tuple, comps) -> GcdGraph:
     comps: (sorted indices, lcm of their values) pairs in least-index order,
     as _join_vertex carries them.  A component holds an even entry iff its
     lcm is even, so the parity of one lcm per component finds the evens."""
-    components = tuple([c for c, _ in comps])
-    isolated = tuple([c[0] for c in components if len(c) == 1])
-    holding_evens = [c for c, m in comps if m % 2 == 0]
-    # even-even gcd >= 2, so all even entries lie in one component
-    if len(holding_evens) > 1:
-        raise InvariantViolation(f"even entries of {a} lie in more than one component")
-    ev = holding_evens[0] if holding_evens else ()
-    return GcdGraph(vertices=a, components=components, isolated=isolated, ev_component=ev)
+    components, isolated, ev = [], [], ()
+    for c, m in comps:
+        components.append(c)
+        if len(c) == 1:
+            isolated.append(c[0])
+        if m % 2 == 0:
+            # even-even gcd >= 2, so all even entries lie in one component
+            if ev:
+                raise InvariantViolation(f"even entries of {a} lie in more than one component")
+            ev = c
+    return GcdGraph(a, tuple(components), tuple(isolated), ev)
 
 
 def _join_vertex(comps: tuple, i: int, v: int) -> tuple:
@@ -242,13 +245,13 @@ def _odd_diffeo_class(cls: SphereClassification) -> OddDiffeoClass:
 
     arf = 0
     if cls.condition == COND2:
+        # the isolated point is odd and the ev-component all even, so they
+        # are disjoint and cover every vertex iff their sizes add up
         a0 = g.vertices[g.isolated[0]]
-        covered = set(g.ev_component) | set(g.isolated)
-        if a0 % 8 in (3, 5) and covered == set(range(len(g.vertices))):
+        if a0 % 8 in (3, 5) and len(g.ev_component) + 1 == len(g.vertices):
             arf = 1
 
-    group = "trivial" if dim in _TRIVIAL_BP_DIMS else "order2"
-    return OddDiffeoClass(arf=arf, group=group, dimension=dim)
+    return OddDiffeoClass(arf, "trivial" if dim in _TRIVIAL_BP_DIMS else "order2", dim)
 
 
 def diffeo_class_even(n: int, tau: int) -> EvenDiffeoClass:
@@ -259,7 +262,7 @@ def diffeo_class_even(n: int, tau: int) -> EvenDiffeoClass:
     if tau % 8 != 0:
         raise InvariantViolation(f"signature {tau} is not divisible by 8")
     order = bp_order(n // 2)
-    return EvenDiffeoClass(tau=tau, class_mod_bp=(tau // 8) % order.order, bp=order)
+    return EvenDiffeoClass(tau, (tau // 8) % order.order, order)
 
 
 def _eigenvalue_one_count(t: Sequence[int]) -> int:

@@ -1,20 +1,36 @@
 import ast
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_topology import oracle_arf, oracle_condition, oracle_gcd_graph
 
 import bplinks
 from bplinks import lattice, report, stability, topology
 from bplinks.arith import BPOrder
 from bplinks.errors import RefusalError
 from bplinks.families import FamilySpec
-from bplinks.lattice import SignatureResult
+from bplinks.lattice import SignatureResult, tau_brute
 from bplinks.report import classify_link, report_to_dict, scan_links
-from bplinks.topology import EvenDiffeoClass, OddDiffeoClass, arf_class, classify_sphere
+from bplinks.stability import (
+    CONTACT_INCONCLUSIVE,
+    CONTACT_INDIVISIBLE,
+    CONTACT_ODD_DIM,
+    StabilityReport,
+    fujita_subset_oracle,
+)
+from bplinks.topology import (
+    EvenDiffeoClass,
+    GcdGraph,
+    OddDiffeoClass,
+    arf_class,
+    classify_sphere,
+)
 
 
 @settings(deadline=None)
@@ -39,6 +55,66 @@ def test_scan_links_matches_classify_link_record_by_record(n, amax):
     assert [r.vector for r in reports] == vectors
     for v, rep in zip(vectors, reports):
         assert report_to_dict(rep) == report_to_dict(classify_link(v)), v
+
+
+# |bP_8| and |bP_12|, and the link dimensions 4m + 1 whose bP_{4m+2} is trivial
+_BP_ORDERS = {4: 28, 6: 992}
+_TRIVIAL_DIMS = (5, 13, 29, 61, 125)
+
+
+def _contact_rule(n, index):
+    if n % 2 == 1:
+        return CONTACT_ODD_DIM
+    return CONTACT_INDIVISIBLE if index % (n // 2) else CONTACT_INCONCLUSIVE
+
+
+@pytest.mark.parametrize("n, amax", [(3, 12), (4, 8), (5, 9), (6, 6)])
+def test_every_scanned_field_matches_its_definition(n, amax):
+    # the leaf builds its records positionally; the oracle builds each one by
+    # keyword from the field's definition, so a swapped argument disagrees
+    boundary = 0
+    for rep in scan_links(n, amax):
+        a = rep.vector
+        sum_recip = sum(Fraction(1, ai) for ai in a)
+        d = lcm(*a)
+        weights = tuple(d // ai for ai in a)
+        index = sum(weights) - d
+        fujita = fujita_subset_oracle(a)
+        poly, semi = fujita["polystable"], fujita["semistable"]
+        vertices, components, isolated, ev = oracle_gcd_graph(a)
+        condition = oracle_condition(a)
+        signature = diffeo = None
+        if n % 2 == 0:
+            signature = replace(tau_brute(a), method="kernel")
+            if condition:
+                tau = signature.tau
+                bp = BPOrder(m=n // 2, order=_BP_ORDERS[n])
+                diffeo = EvenDiffeoClass(tau=tau, class_mod_bp=tau // 8 % bp.order, bp=bp)
+        elif condition:
+            group = "trivial" if 2 * n - 1 in _TRIVIAL_DIMS else "order2"
+            diffeo = OddDiffeoClass(arf=oracle_arf(rep.sphere), group=group, dimension=2 * n - 1)
+        assert rep.stability == StabilityReport(
+            vector=a,
+            sum_recip=sum_recip,
+            log_fano=sum_recip > 1,
+            k_semistable=semi,
+            k_polystable=poly,
+            se_metric_exists=poly,
+            boundary_semistable=semi and not poly,
+            d=d,
+            weights=weights,
+            index_invariant=index,
+            contact=_contact_rule(n, index),
+        ), a
+        sphere = rep.sphere
+        assert sphere.graph == GcdGraph(
+            vertices=vertices, components=components, isolated=isolated, ev_component=ev
+        ), a
+        assert (sphere.is_homotopy_sphere, sphere.condition) == (bool(condition), condition)
+        assert (rep.input_vector, rep.vector, rep.n, rep.link_dimension) == (a, a, n, 2 * n - 1)
+        assert (rep.signature, rep.diffeo) == (signature, diffeo), a
+        boundary += rep.stability.boundary_semistable
+    assert boundary > 0  # so k_semistable and k_polystable differ somewhere
 
 
 def test_scan_links_takes_cached_signatures_and_computes_the_rest():
@@ -155,6 +231,47 @@ def test_per_vector_records_are_slotted_and_the_others_stay_frozen():
             hash(record)
     for cls in (SignatureResult, OddDiffeoClass, EvenDiffeoClass, BPOrder, FamilySpec):
         assert cls.__dataclass_params__.frozen, cls
+
+
+# the functions that build a record once per scanned vector or kernel call,
+# and the record class each builds
+HOT_CONSTRUCTORS = {
+    "_link_report": "LinkReport",
+    "_stability_report": "StabilityReport",
+    "_graph_from_components": "GcdGraph",
+    "tau_kernel": "SignatureResult",
+    "_tau_residue_dp": "SignatureResult",
+    "_odd_diffeo_class": "OddDiffeoClass",
+    "diffeo_class_even": "EvenDiffeoClass",
+    "bp_order": "BPOrder",
+}
+
+
+def _record_calls(tree):
+    """(function, passes keywords) for every call of a record class inside
+    the function of HOT_CONSTRUCTORS that builds it."""
+    return [
+        (fn.name, bool(call.keywords))
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in HOT_CONSTRUCTORS
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and _callee(call) == HOT_CONSTRUCTORS[fn.name]
+    ]
+
+
+def test_hot_constructors_pass_no_keywords():
+    # a dataclass __init__ matches each keyword, about 40 ns a field, and the
+    # scan pays it once per vector: the hot sites pass every field positionally
+    calls = [
+        call
+        for path in sorted(Path(bplinks.__file__).parent.glob("*.py"))
+        for call in _record_calls(ast.parse(path.read_text()))
+    ]
+    assert {name for name, _ in calls} == set(HOT_CONSTRUCTORS)
+    assert [name for name, keywords in calls if keywords] == []
+    # the grep finds a keyword call
+    planted = ast.parse("def _link_report(a, s):\n    return LinkReport(a, a, 5, 9, s, s, diffeo=0)")
+    assert _record_calls(planted) == [("_link_report", True)]
 
 
 def _mentions_slotted(node):

@@ -190,6 +190,36 @@ def test_arf_is_zero_under_condition_one():
     assert seen > 0
 
 
+def oracle_arf(cls):
+    """The Arf bit by its definition: condition (2), the isolated point
+    congruent to +-3 mod 8, and every vertex in the ev-component or the
+    isolated point, as sets of indices."""
+    g = cls.graph
+    if cls.condition != COND2:
+        return 0
+    covered = set(g.ev_component) | set(g.isolated)
+    a0 = g.vertices[g.isolated[0]]
+    return int(a0 % 8 in (3, 5) and covered == set(range(len(g.vertices))))
+
+
+def test_arf_cover_by_sizes_matches_the_set_rule():
+    # _odd_diffeo_class decides the cover by len(ev_component) + 1 == len(vertices)
+    ones = uncovered = 0
+    for n, amax in ((3, 12), (5, 9), (7, 6)):
+        for rep in scan_links(n, amax):
+            cls = rep.sphere
+            if not cls.is_homotopy_sphere:
+                continue
+            assert rep.diffeo.arf == oracle_arf(cls) == arf_class(rep.vector).arf, rep.vector
+            ones += rep.diffeo.arf
+            g = cls.graph
+            odd_point = g.vertices[g.isolated[0]]
+            uncovered += cls.condition == COND2 and odd_point % 8 in (3, 5) and not rep.diffeo.arf
+    # both sides of the cover test are reached: 42 spheres with arf 1 and 29
+    # with an uncovered vertex and the isolated point +-3 mod 8
+    assert (ones, uncovered) == (42, 29)
+
+
 def test_arf_rejects_even_n_and_non_spheres():
     with pytest.raises(ValueError):
         arf_class((2, 2, 2, 3, 5))  # n = 4
