@@ -21,12 +21,15 @@ differs from the recomputed one in any field.  Its one stderr line counts
 the links matched and the vectors walked and, with --cache, the cache hits
 and writes; it holds no timings, so it is as deterministic as stdout.
 
-Every JSON line, on stdout and in the scan cache, goes through one
-module-level encoder, _encode.  It is json.dumps's encoder without the
-circular-reference check: each record is a freshly built tree with no
-cycles, so the id() markers that check fills for every container of every
-record buy nothing.  Separators, ensure_ascii and allow_nan keep their
-defaults, so the bytes are json.dumps's.
+classify and scan print each record as the one line report.report_to_json
+formats, with no dict built for it.  Every other JSON line, on stdout and
+in the scan cache, goes through one module-level encoder, _encode, which
+also encodes report_to_dict's records in the tests as report_to_json's
+oracle.  It is json.dumps's encoder without the circular-reference check:
+each record is a freshly built tree with no cycles, so the id() markers
+that check fills for every container of every record buy nothing.
+Separators, ensure_ascii and allow_nan keep their defaults, so the bytes
+are json.dumps's.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .errors import InvariantViolation, RefusalError
 from .families import brieskorn_reference, fit_exotic_tau, gen_exotic, gen_odd_dim, gen_standard
 from .lattice import SignatureResult, tau_brute, tau_kernel
 from .moduli import mean_euler, moduli_dimension
-from .report import _check_digits, classify_link, report_to_dict, scan_links
+from .report import _check_digits, classify_link, report_to_json, scan_links
 from .topology import _gcd_components, _graph_from_components, _sphere_from_graph
 from .topology import diffeo_class_even, exponent_vector
 
@@ -165,7 +168,7 @@ def _cached_signature(rec: dict) -> SignatureResult:
 
 def _cmd_classify(args) -> int:
     rep = classify_link(args.exponents)
-    _emit(report_to_dict(rep))
+    sys.stdout.write(report_to_json(rep) + "\n")
     return 0
 
 
@@ -187,6 +190,7 @@ def _cmd_tau(args) -> int:
         graph = _graph_from_components(a, _gcd_components(a))
         if _sphere_from_graph(graph).is_homotopy_sphere:
             cls = diffeo_class_even(n, sig.tau)
+            _check_digits(cls)  # the bP order, which the signature does not bound
             out["class"] = f"{cls.class_mod_bp} mod {cls.bp.order}"
     _emit(out)
     return 0
@@ -246,6 +250,7 @@ def _cmd_euler(args) -> int:
 
 def _cmd_scan(args) -> int:
     count = vectors = hits = writes = 0
+    write = sys.stdout.write
     # the cache's handle is closed on every exit, so it is complete on return
     with (ScanCache(Path(args.cache)) if args.cache else nullcontext()) as cache:
         known = cache.entries if cache is not None and not args.paranoid else {}
@@ -269,7 +274,7 @@ def _cmd_scan(args) -> int:
                 rep.sphere.is_homotopy_sphere and rep.stability.se_metric_exists
             ):
                 continue
-            _emit(report_to_dict(rep))
+            write(report_to_json(rep) + "\n")
             count += 1
     summary = f"scan: {count} links matched of {vectors} vectors"
     if args.cache:

@@ -28,6 +28,12 @@ The leaf and the kernels it calls build every record positionally, in
 field order: a dataclass __init__ matches each keyword at about 40 ns on
 CPython 3.11, so StabilityReport's 11 keywords took 0.65 us against
 0.25 us positionally.
+
+report_to_json is the printed form of a record: it formats the JSON line
+as one f-string, in report_to_dict's key order, with no dict built and no
+general encoder pass, which halves the cost of a scanned record's text.
+report_to_dict stays the dict API and, run through cli._encode, the
+byte-for-byte oracle of report_to_json.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from math import lcm, prod
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -57,7 +64,7 @@ from .topology import (
     exponent_vector,
 )
 
-__all__ = ["LinkReport", "classify_link", "scan_links", "report_to_dict"]
+__all__ = ["LinkReport", "classify_link", "scan_links", "report_to_dict", "report_to_json"]
 
 
 @dataclass(slots=True)
@@ -143,14 +150,16 @@ def _check_printable(r: LinkReport) -> None:
     """Refuse a record holding an integer longer than the interpreter's
     limit on integer string conversion (sys.get_int_max_str_digits).
 
-    (n + 1) * d bounds d, the weights, the index and sum_recip's terms, and
-    plus + minus + boundary bounds the signature's counts, so a record
-    whose bound stays under 640 digits costs one comparison; past it the
-    printed integers themselves are measured."""
+    (n + 1) * d bounds d, the weights, the index and sum_recip's terms,
+    plus + minus + boundary bounds the signature's counts, and the bP order
+    bounds the class, so a record whose bound stays under 640 digits costs
+    one comparison; past it the printed integers themselves are measured."""
     stab, sig = r.stability, r.signature
     bound = stab.d * len(r.vector)
     if sig is not None:
         bound += sig.plus_count + sig.minus_count + sig.boundary_skipped
+    if isinstance(r.diffeo, EvenDiffeoClass):
+        bound += r.diffeo.bp.order
     if bound.bit_length() > _ALWAYS_PRINTABLE_BITS:
         _check_digits(r)
 
@@ -190,6 +199,8 @@ def _ints(x) -> Iterator[int]:
 
 
 def report_to_dict(r: LinkReport) -> dict:
+    """The record as a dict of JSON values, in the printed key order: the
+    oracle of report_to_json, which prints it."""
     _check_printable(r)
     sphere, stab = r.sphere, r.stability
     g = sphere.graph
@@ -234,3 +245,62 @@ def report_to_dict(r: LinkReport) -> dict:
         out["bp_group"] = r.diffeo.group
         out["kervaire_sphere"] = r.diffeo.arf == 1
     return out
+
+
+_JSON_BOOL = ("false", "true")
+
+
+def report_to_json(r: LinkReport) -> str:
+    """The JSON line of report_to_dict(r), byte for byte as cli._encode
+    prints it (", " and ": " separators, ensure_ascii), formatted directly:
+    no dict is built and no general encoder walks one.  Strings of the
+    record go through json's own ensure_ascii string encoder; the integers
+    that report_to_dict turns into decimal strings are quoted as they are."""
+    _check_printable(r)
+    sphere, stab, sig, diffeo = r.sphere, r.stability, r.signature, r.diffeo
+    g = sphere.graph
+    text = list(map(str, r.vector))
+    vector = f"[{', '.join(text)}]"
+    if r.input_vector != r.vector:
+        input_vector = f"[{', '.join(map(str, r.input_vector))}]"
+    else:
+        input_vector = vector
+    at = text.__getitem__  # the graph's vertices are the vector, as _link_report builds it
+    components = ", ".join([f"[{', '.join(map(at, c))}]" for c in g.components])
+    weights = '", "'.join(map(str, stab.weights))  # never empty: n >= 3
+    condition = "null" if sphere.condition is None else _json_str(sphere.condition)
+    out = (
+        f'{{"vector": {vector}, "input_vector": {input_vector}, "n": {r.n}, '
+        f'"link_dimension": {r.link_dimension}, '
+        f'"homotopy_sphere": {_JSON_BOOL[sphere.is_homotopy_sphere]}, '
+        f'"condition": {condition}, "reason": {_json_str(sphere.reason)}, '
+        f'"graph": {{"components": [{components}], '
+        f'"isolated": [{", ".join(map(at, g.isolated))}], '
+        f'"ev_component": [{", ".join(map(at, g.ev_component))}]}}, '
+        f'"stability": {{"sum_recip": {_json_str(to_jsonable(stab.sum_recip))}, '
+        f'"log_fano": {_JSON_BOOL[stab.log_fano]}, '
+        f'"k_semistable": {_JSON_BOOL[stab.k_semistable]}, '
+        f'"k_polystable": {_JSON_BOOL[stab.k_polystable]}, '
+        f'"boundary_semistable": {_JSON_BOOL[stab.boundary_semistable]}, '
+        f'"d": "{stab.d}", "weights": ["{weights}"], '
+        f'"index_invariant": "{stab.index_invariant}", '
+        f'"contact": {_json_str(stab.contact)}}}, '
+        f'"se_metric": {_JSON_BOOL[stab.se_metric_exists]}'
+    )
+    if sig is not None:
+        out += (
+            f', "tau": {sig.tau}, "tau_plus": {sig.plus_count}, '
+            f'"tau_minus": {sig.minus_count}, "boundary_skipped": {sig.boundary_skipped}, '
+            f'"tau_method": {_json_str(sig.method)}'
+        )
+    if isinstance(diffeo, EvenDiffeoClass):
+        out += (
+            f', "class": "{diffeo.class_mod_bp} mod {diffeo.bp.order}", '
+            f'"standard_sphere": {_JSON_BOOL[diffeo.is_standard]}'
+        )
+    elif isinstance(diffeo, OddDiffeoClass):
+        out += (
+            f', "arf": {diffeo.arf}, "bp_group": {_json_str(diffeo.group)}, '
+            f'"kervaire_sphere": {_JSON_BOOL[diffeo.arf == 1]}'
+        )
+    return out + "}"

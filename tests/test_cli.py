@@ -368,16 +368,35 @@ def test_scan_records_golden_digest(capsys, n, amax, count, digest):
     assert h.hexdigest() == digest
 
 
-# SHA-256 of the raw bytes, recorded from json.dumps's output: the digests
-# above re-encode each record with sorted keys, so they cannot see a change
-# of key order or separators.  The cache's records name the tool's version,
-# so a version bump changes the cache digest.
-def test_scan_stdout_bytes_golden_digest(capsys):
-    assert main(["scan", "--n", "5", "--amax", "10"]) == 0
+# SHA-256 of the raw bytes, recorded from json.dumps's output (the odd-n
+# scan) and from report_to_dict's records run through cli._encode (the rest):
+# the digests above re-encode each record with sorted keys, so they cannot
+# see a change of key order or separators.  The even-n scan pins the tau and
+# class fields, the classify calls (the paper's two vectors, shuffled) the
+# input vector.  The cache's records name the tool's version, so a version
+# bump changes the cache digest.
+@pytest.mark.parametrize(
+    "argvs, digest",
+    [
+        (
+            [["scan", "--n", "5", "--amax", "10"]],
+            "fbe03889df59e778063d34724135307f4e1be71f1c3f1dc40ace622b3a60e19f",
+        ),
+        (
+            [["scan", "--n", "4", "--amax", "7"]],
+            "2838abdd2ee1987f127b6cf0b409c955ad6f4414ec597793b0bca0dfcc96a04a",
+        ),
+        (
+            [["classify", "341", "2", "339", "338", "2"], ["classify", "4034", "3", "1345", "3", "3"]],
+            "6edf04b4dbfcd27d82310d96e1e2067f699deb4a3d8d65b91236ef3c879d51b5",
+        ),
+    ],
+    ids=["scan-odd-n", "scan-even-n", "classify-paper-vectors"],
+)
+def test_scan_stdout_bytes_golden_digest(capsys, argvs, digest):
+    assert [main(argv) for argv in argvs] == [0] * len(argvs)
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "fbe03889df59e778063d34724135307f4e1be71f1c3f1dc40ace622b3a60e19f"
-    )
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_scan_cache_file_bytes_golden_digest(capsys, tmp_path):
@@ -386,6 +405,19 @@ def test_scan_cache_file_bytes_golden_digest(capsys, tmp_path):
     assert hashlib.sha256(cache.read_bytes()).hexdigest() == (
         "e2ad7993236dfebca17ef3471bb20cea3edb0c514527b0c50c1ab5825bc07f90"
     )
+
+
+@pytest.mark.parametrize("command", ["classify", "tau"])
+def test_a_bp_order_too_long_to_print_is_refused(capsys, monkeypatch, command):
+    # a real order this long needs m ~ 1000 and a raised budget; the
+    # signature does not bound it, so it is checked on its own
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no limit on integer string conversion")
+    monkeypatch.setattr(topology, "bp_order", lambda m: arith.BPOrder(m, 10**limit))
+    code, lines, err = run_cli(capsys, command, "2", "2", "2", "3", "5")
+    assert (code, lines) == (1, [])
+    assert "decimal digits in one integer" in err and f"(budget {limit})" in err
 
 
 def test_scan_results_independent_of_cache(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import ast
+import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -13,10 +14,11 @@ from test_topology import oracle_arf, oracle_condition, oracle_gcd_graph
 import bplinks
 from bplinks import lattice, report, stability, topology
 from bplinks.arith import BPOrder
+from bplinks.cli import _encode
 from bplinks.errors import RefusalError
 from bplinks.families import FamilySpec
 from bplinks.lattice import SignatureResult, tau_brute
-from bplinks.report import classify_link, report_to_dict, scan_links
+from bplinks.report import classify_link, report_to_dict, report_to_json, scan_links
 from bplinks.stability import (
     CONTACT_INCONCLUSIVE,
     CONTACT_INDIVISIBLE,
@@ -25,6 +27,8 @@ from bplinks.stability import (
     fujita_subset_oracle,
 )
 from bplinks.topology import (
+    COND1,
+    COND2,
     EvenDiffeoClass,
     GcdGraph,
     OddDiffeoClass,
@@ -204,14 +208,51 @@ def test_a_record_prints_up_to_the_interpreter_limit_and_refuses_past_it():
         pytest.skip("this interpreter has no limit on integer string conversion")
     rep = classify_link((2, 3, 5, 7, 11))
     longest = replace(rep, stability=replace(rep.stability, d=10**limit - 1))
-    assert len(report_to_dict(longest)["stability"]["d"]) == limit
     too_long = replace(rep, stability=replace(rep.stability, d=10**limit))
-    with pytest.raises(RefusalError, match="decimal digits in one integer") as err:
-        report_to_dict(too_long)
-    assert (err.value.estimate, err.value.budget) == (limit + 1, limit)
     signature = replace(rep.signature, plus_count=10**limit)
-    with pytest.raises(RefusalError):
-        report_to_dict(replace(rep, signature=signature))
+    for as_dict in (report_to_dict, lambda r: json.loads(report_to_json(r))):
+        assert len(as_dict(longest)["stability"]["d"]) == limit
+        with pytest.raises(RefusalError, match="decimal digits in one integer") as err:
+            as_dict(too_long)
+        assert (err.value.estimate, err.value.budget) == (limit + 1, limit)
+        with pytest.raises(RefusalError):
+            as_dict(replace(rep, signature=signature))
+
+
+# report_to_json formats the printed line itself; report_to_dict run through
+# cli._encode, the encoder of every other command, is its oracle
+@pytest.mark.parametrize("n, amax", [(3, 12), (4, 8), (5, 9), (6, 7), (7, 6)])
+def test_report_to_json_is_the_encoded_dict_on_every_scanned_record(n, amax):
+    for rep in scan_links(n, amax):
+        assert report_to_json(rep) == _encode(report_to_dict(rep)), rep.vector
+
+
+def _entries(n):
+    if n % 2 == 1:  # no signature: any entries, small ones to share primes
+        return st.lists(
+            st.one_of(st.integers(2, 40), st.integers(2, 10**12)), min_size=n + 1, max_size=n + 1
+        )
+    # the signature's DP work grows with the n - 1 smallest entries only
+    return st.tuples(
+        st.lists(st.integers(2, 9), min_size=n - 1, max_size=n - 1),
+        st.lists(st.integers(2, 10**12), min_size=2, max_size=2),
+    ).map(lambda parts: parts[0] + parts[1])
+
+
+def test_report_to_json_is_the_encoded_dict_on_shuffled_vectors():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(3, 8).flatmap(_entries).flatmap(st.permutations))
+    def check(values):
+        rep = classify_link(values)
+        assert report_to_json(rep) == _encode(report_to_dict(rep))
+        seen.update([rep.sphere.condition, type(rep.diffeo), rep.input_vector != rep.vector])
+
+    check()
+    # every condition and both diffeo branches (tau, class and standard_sphere
+    # at even n, arf at odd n), and inputs out of order
+    assert seen == {COND1, COND2, None, EvenDiffeoClass, OddDiffeoClass, type(None), True, False}
 
 
 # the four records built once per scanned vector are slotted, not frozen
