@@ -3,8 +3,7 @@ stderr.
 
 Exit codes: 0 success, 1 refusal (budget, missing primes, regime, an
 unusable or corrupt cache, a record holding an integer longer than the
-interpreter prints, checked by report._check_digits before any printing),
-2 usage error, 3 internal invariant violation.
+interpreter prints), 2 usage error, 3 internal invariant violation.
 The BPLINKS_TAU_BUDGET environment variable (default 10^8) is the one
 budget: it bounds the box points of tau_brute, the residue-DP steps of
 tau_kernel, the gcd graph, the Bernoulli table, moduli and euler.
@@ -29,7 +28,10 @@ oracle.  It is json.dumps's encoder without the circular-reference check:
 each record is a freshly built tree with no cycles, so the id() markers
 that check fills for every container of every record buy nothing.
 Separators, ensure_ascii and allow_nan keep their defaults, so the bytes
-are json.dumps's.
+are json.dumps's.  report_to_json and _emit build a whole line under one
+guard: a ValueError raised while building it is a refusal (exit 1) when
+report._check_digits finds an integer of the record past the interpreter's
+limit on integer string conversion, and otherwise goes on to main (exit 2).
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from pathlib import Path
 from . import __version__
 from .arith import bp_order, to_jsonable
 from .errors import InvariantViolation, RefusalError
-from .families import brieskorn_reference, fit_exotic_tau, gen_exotic, gen_odd_dim, gen_standard
+from .families import TauFit, brieskorn_reference, fit_exotic_tau, gen_exotic, gen_odd_dim
+from .families import gen_standard
 from .lattice import SignatureResult, tau_brute, tau_kernel
 from .moduli import mean_euler, moduli_dimension
 from .report import _check_digits, classify_link, report_to_json, scan_links
@@ -57,8 +60,18 @@ CACHE_VERSION = 1
 _encode = json.JSONEncoder(check_circular=False).encode
 
 
-def _emit(obj: dict) -> None:
-    sys.stdout.write(_encode(obj) + "\n")
+def _emit(record, to_dict) -> None:
+    """Print to_dict(record) as one JSON line, built whole before it is written."""
+    try:
+        line = _encode(to_dict(record)) + "\n"
+    except ValueError:  # an integer past the interpreter's limit, or a fault
+        _check_digits(record)
+        raise
+    sys.stdout.write(line)
+
+
+def _as_json(record) -> dict:
+    return to_jsonable(asdict(record))
 
 
 def _diag(msg: str) -> None:
@@ -176,7 +189,18 @@ def _cmd_tau(args) -> int:
     a = exponent_vector(args.exponents)
     engine = tau_brute if args.method == "brute" else tau_kernel
     sig = engine(a)
-    _check_digits(sig)
+    cls = None
+    n = len(a) - 1
+    if n % 2 == 0:  # the sphere decision folds the validated a, as classify_link does
+        graph = _graph_from_components(a, _gcd_components(a))
+        if _sphere_from_graph(graph).is_homotopy_sphere:
+            cls = diffeo_class_even(n, sig.tau)
+    _emit((a, sig, cls), _tau_dict)
+    return 0
+
+
+def _tau_dict(record) -> dict:
+    a, sig, cls = record
     out = {
         "vector": list(a),
         "tau": sig.tau,
@@ -185,23 +209,16 @@ def _cmd_tau(args) -> int:
         "boundary_skipped": sig.boundary_skipped,
         "method": sig.method,
     }
-    n = len(a) - 1
-    if n % 2 == 0:  # the sphere decision folds the validated a, as classify_link does
-        graph = _graph_from_components(a, _gcd_components(a))
-        if _sphere_from_graph(graph).is_homotopy_sphere:
-            cls = diffeo_class_even(n, sig.tau)
-            _check_digits(cls)  # the bP order, which the signature does not bound
-            out["class"] = f"{cls.class_mod_bp} mod {cls.bp.order}"
-    _emit(out)
-    return 0
+    if cls is not None:
+        out["class"] = f"{cls.class_mod_bp} mod {cls.bp.order}"
+    return out
 
 
 def _cmd_qpfit(args) -> int:
     fit = fit_exotic_tau(
         m=args.m, k=args.k, l=args.l, samples=args.samples, verify=args.verify
     )
-    _check_digits(fit)
-    _emit(fit.to_json_dict())
+    _emit(fit, TauFit.to_json_dict)
     if fit.verify is not None:
         bad = [v for v in fit.verify if v[1] != v[2]]
         if bad:
@@ -219,22 +236,18 @@ def _cmd_family(args) -> int:
         spec = gen_exotic(args.m, args.k, args.l, args.q)
     else:
         spec = brieskorn_reference(args.m, args.k, args.sign)
-    _check_digits(spec)
-    _emit(spec.to_json_dict())
+    _emit(spec, _as_json)
     return 0
 
 
 def _cmd_bp_order(args) -> int:
-    order = bp_order(args.m)
-    _check_digits(order)
-    _emit({"m": order.m, "order": str(order.order)})
+    _emit(bp_order(args.m), lambda order: {"m": order.m, "order": str(order.order)})
     return 0
 
 
 def _cmd_moduli(args) -> int:
     dim = moduli_dimension(args.n, args.p, args.l)
-    _check_digits(dim)
-    _emit({**asdict(dim), "agree": dim.agree})
+    _emit(dim, lambda d: {**asdict(d), "agree": d.agree})
     if not dim.agree:
         _diag("moduli: DP and closed form disagree")
         return 3
@@ -242,9 +255,7 @@ def _cmd_moduli(args) -> int:
 
 
 def _cmd_euler(args) -> int:
-    rep = mean_euler(args.n, args.p, args.l)
-    _check_digits(rep)
-    _emit(to_jsonable(asdict(rep)))
+    _emit(mean_euler(args.n, args.p, args.l), _as_json)
     return 0
 
 

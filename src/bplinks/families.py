@@ -8,7 +8,7 @@ signature themselves, leaving that to the lattice module.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Optional
@@ -40,9 +40,6 @@ class FamilySpec:
     vector: tuple
     derived: dict
     expectations: dict
-
-    def to_json_dict(self) -> dict:
-        return to_jsonable(asdict(self))
 
 
 def gen_odd_dim(m: int, p_n: int) -> FamilySpec:

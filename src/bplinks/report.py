@@ -34,6 +34,12 @@ as one f-string, in report_to_dict's key order, with no dict built and no
 general encoder pass, which halves the cost of a scanned record's text.
 report_to_dict stays the dict API and, run through cli._encode, the
 byte-for-byte oracle of report_to_json.
+
+A record holding an integer past the interpreter's limit on integer string
+conversion is refused where its text is built, with no bound computed
+beforehand: a ValueError raised while report_to_json formats is handed to
+_check_digits, which refuses the record or lets the error go on.
+report_to_dict builds no text, so it calls _check_digits itself.
 """
 
 from __future__ import annotations
@@ -141,34 +147,13 @@ def _link_report(
     return LinkReport(original, a, n, 2 * n - 1, sphere, stability, signature, diffeo)
 
 
-# every integer below 2**2126 has at most 640 decimal digits, the least
-# limit on integer string conversion the interpreter accepts
-_ALWAYS_PRINTABLE_BITS = 2126
-
-
-def _check_printable(r: LinkReport) -> None:
-    """Refuse a record holding an integer longer than the interpreter's
-    limit on integer string conversion (sys.get_int_max_str_digits).
-
-    (n + 1) * d bounds d, the weights, the index and sum_recip's terms,
-    plus + minus + boundary bounds the signature's counts, and the bP order
-    bounds the class, so a record whose bound stays under 640 digits costs
-    one comparison; past it the printed integers themselves are measured."""
-    stab, sig = r.stability, r.signature
-    bound = stab.d * len(r.vector)
-    if sig is not None:
-        bound += sig.plus_count + sig.minus_count + sig.boundary_skipped
-    if isinstance(r.diffeo, EvenDiffeoClass):
-        bound += r.diffeo.bp.order
-    if bound.bit_length() > _ALWAYS_PRINTABLE_BITS:
-        _check_digits(r)
-
-
 def _check_digits(record) -> None:
     """Refuse a record when the longest integer in it has more decimal
-    digits than the interpreter's limit on integer string conversion: the
-    one check of every record bplinks prints, made before any of it is
-    turned into text."""
+    digits than the interpreter's limit on integer string conversion.  It
+    walks the whole record, so report_to_json and cli._emit call it only
+    when turning the record into text has raised a ValueError, and re-raise
+    that error when it does not refuse; report_to_dict, which builds no
+    text, calls it on every record."""
     limit = sys.get_int_max_str_digits()
     if not limit:  # 0: no limit
         return
@@ -201,7 +186,7 @@ def _ints(x) -> Iterator[int]:
 def report_to_dict(r: LinkReport) -> dict:
     """The record as a dict of JSON values, in the printed key order: the
     oracle of report_to_json, which prints it."""
-    _check_printable(r)
+    _check_digits(r)
     sphere, stab = r.sphere, r.stability
     g = sphere.graph
     v = g.vertices
@@ -256,51 +241,54 @@ def report_to_json(r: LinkReport) -> str:
     no dict is built and no general encoder walks one.  Strings of the
     record go through json's own ensure_ascii string encoder; the integers
     that report_to_dict turns into decimal strings are quoted as they are."""
-    _check_printable(r)
     sphere, stab, sig, diffeo = r.sphere, r.stability, r.signature, r.diffeo
     g = sphere.graph
-    text = list(map(str, r.vector))
-    vector = f"[{', '.join(text)}]"
-    if r.input_vector != r.vector:
-        input_vector = f"[{', '.join(map(str, r.input_vector))}]"
-    else:
-        input_vector = vector
-    at = text.__getitem__  # the graph's vertices are the vector, as _link_report builds it
-    components = ", ".join([f"[{', '.join(map(at, c))}]" for c in g.components])
-    weights = '", "'.join(map(str, stab.weights))  # never empty: n >= 3
-    condition = "null" if sphere.condition is None else _json_str(sphere.condition)
-    out = (
-        f'{{"vector": {vector}, "input_vector": {input_vector}, "n": {r.n}, '
-        f'"link_dimension": {r.link_dimension}, '
-        f'"homotopy_sphere": {_JSON_BOOL[sphere.is_homotopy_sphere]}, '
-        f'"condition": {condition}, "reason": {_json_str(sphere.reason)}, '
-        f'"graph": {{"components": [{components}], '
-        f'"isolated": [{", ".join(map(at, g.isolated))}], '
-        f'"ev_component": [{", ".join(map(at, g.ev_component))}]}}, '
-        f'"stability": {{"sum_recip": {_json_str(to_jsonable(stab.sum_recip))}, '
-        f'"log_fano": {_JSON_BOOL[stab.log_fano]}, '
-        f'"k_semistable": {_JSON_BOOL[stab.k_semistable]}, '
-        f'"k_polystable": {_JSON_BOOL[stab.k_polystable]}, '
-        f'"boundary_semistable": {_JSON_BOOL[stab.boundary_semistable]}, '
-        f'"d": "{stab.d}", "weights": ["{weights}"], '
-        f'"index_invariant": "{stab.index_invariant}", '
-        f'"contact": {_json_str(stab.contact)}}}, '
-        f'"se_metric": {_JSON_BOOL[stab.se_metric_exists]}'
-    )
-    if sig is not None:
-        out += (
-            f', "tau": {sig.tau}, "tau_plus": {sig.plus_count}, '
-            f'"tau_minus": {sig.minus_count}, "boundary_skipped": {sig.boundary_skipped}, '
-            f'"tau_method": {_json_str(sig.method)}'
+    try:
+        text = list(map(str, r.vector))
+        vector = f"[{', '.join(text)}]"
+        if r.input_vector != r.vector:
+            input_vector = f"[{', '.join(map(str, r.input_vector))}]"
+        else:
+            input_vector = vector
+        at = text.__getitem__  # the graph's vertices are the vector, as _link_report builds it
+        components = ", ".join([f"[{', '.join(map(at, c))}]" for c in g.components])
+        weights = '", "'.join(map(str, stab.weights))  # never empty: n >= 3
+        condition = "null" if sphere.condition is None else _json_str(sphere.condition)
+        out = (
+            f'{{"vector": {vector}, "input_vector": {input_vector}, "n": {r.n}, '
+            f'"link_dimension": {r.link_dimension}, '
+            f'"homotopy_sphere": {_JSON_BOOL[sphere.is_homotopy_sphere]}, '
+            f'"condition": {condition}, "reason": {_json_str(sphere.reason)}, '
+            f'"graph": {{"components": [{components}], '
+            f'"isolated": [{", ".join(map(at, g.isolated))}], '
+            f'"ev_component": [{", ".join(map(at, g.ev_component))}]}}, '
+            f'"stability": {{"sum_recip": {_json_str(to_jsonable(stab.sum_recip))}, '
+            f'"log_fano": {_JSON_BOOL[stab.log_fano]}, '
+            f'"k_semistable": {_JSON_BOOL[stab.k_semistable]}, '
+            f'"k_polystable": {_JSON_BOOL[stab.k_polystable]}, '
+            f'"boundary_semistable": {_JSON_BOOL[stab.boundary_semistable]}, '
+            f'"d": "{stab.d}", "weights": ["{weights}"], '
+            f'"index_invariant": "{stab.index_invariant}", '
+            f'"contact": {_json_str(stab.contact)}}}, '
+            f'"se_metric": {_JSON_BOOL[stab.se_metric_exists]}'
         )
-    if isinstance(diffeo, EvenDiffeoClass):
-        out += (
-            f', "class": "{diffeo.class_mod_bp} mod {diffeo.bp.order}", '
-            f'"standard_sphere": {_JSON_BOOL[diffeo.is_standard]}'
-        )
-    elif isinstance(diffeo, OddDiffeoClass):
-        out += (
-            f', "arf": {diffeo.arf}, "bp_group": {_json_str(diffeo.group)}, '
-            f'"kervaire_sphere": {_JSON_BOOL[diffeo.arf == 1]}'
-        )
-    return out + "}"
+        if sig is not None:
+            out += (
+                f', "tau": {sig.tau}, "tau_plus": {sig.plus_count}, '
+                f'"tau_minus": {sig.minus_count}, "boundary_skipped": {sig.boundary_skipped}, '
+                f'"tau_method": {_json_str(sig.method)}'
+            )
+        if isinstance(diffeo, EvenDiffeoClass):
+            out += (
+                f', "class": "{diffeo.class_mod_bp} mod {diffeo.bp.order}", '
+                f'"standard_sphere": {_JSON_BOOL[diffeo.is_standard]}'
+            )
+        elif isinstance(diffeo, OddDiffeoClass):
+            out += (
+                f', "arf": {diffeo.arf}, "bp_group": {_json_str(diffeo.group)}, '
+                f'"kervaire_sphere": {_JSON_BOOL[diffeo.arf == 1]}'
+            )
+        return out + "}"
+    except ValueError:  # an integer past the interpreter's limit, or a fault
+        _check_digits(r)
+        raise

@@ -10,13 +10,14 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bplinks import arith, cli, errors, families, lattice, report, topology
+from bplinks import arith, cli, errors, families, lattice, moduli, report, topology
 from bplinks.cli import main
 from bplinks.primes import is_prime
 from bplinks.report import classify_link, report_to_dict
@@ -407,16 +408,26 @@ def test_scan_cache_file_bytes_golden_digest(capsys, tmp_path):
     )
 
 
-@pytest.mark.parametrize("command", ["classify", "tau"])
-def test_a_bp_order_too_long_to_print_is_refused(capsys, monkeypatch, command):
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        (["classify", "2", "2", "2", "3", "5"], 0),
+        (["tau", "2", "2", "2", "3", "5"], 0),
+        # the six vectors before (2, 2, 2, 3, 5), the scan's first sphere
+        (["scan", "--n", "4", "--amax", "5"], 6),
+    ],
+    ids=["classify", "tau", "scan"],
+)
+def test_a_bp_order_too_long_to_print_is_refused(capsys, monkeypatch, argv, printed):
     # a real order this long needs m ~ 1000 and a raised budget; the
-    # signature does not bound it, so it is checked on its own
+    # signature does not bound it
     limit = sys.get_int_max_str_digits()
     if not limit:
         pytest.skip("this interpreter has no limit on integer string conversion")
     monkeypatch.setattr(topology, "bp_order", lambda m: arith.BPOrder(m, 10**limit))
-    code, lines, err = run_cli(capsys, command, "2", "2", "2", "3", "5")
-    assert (code, lines) == (1, [])
+    code, lines, err = run_cli(capsys, *argv)
+    assert (code, len(lines)) == (1, printed)
+    assert not any(rec["homotopy_sphere"] for rec in lines)
     assert "decimal digits in one integer" in err and f"(budget {limit})" in err
 
 
@@ -630,6 +641,56 @@ def test_euler_of_a_record_too_long_to_print_is_refused(capsys):
     code, lines, err = run_cli(capsys, "euler", "--n", "6", "--p", str(10**1500), "--l", "3")
     assert code == 1 and lines == []
     assert "decimal digits in one integer" in err and f"(budget {limit})" in err
+
+
+# bp-order, moduli and qpfit: the real record with one integer made too long to print
+@pytest.mark.parametrize(
+    "target, fake, argv",
+    [
+        ("bp_order", lambda m, big: arith.BPOrder(m, big), ["bp-order", "--m", "3"]),
+        (
+            "moduli_dimension",
+            lambda n, p, l, big: replace(moduli.moduli_dimension(n, p, l), h0_d=big),
+            ["moduli", "--n", "6", "--p", "8", "--l", "3"],
+        ),
+        (
+            "fit_exotic_tau",
+            lambda big, **kw: replace(families.fit_exotic_tau(**kw), degree_used=big),
+            ["qpfit", "--m", "2", "--k", "1", "--l", "3", "--samples", "7", "--verify", "0"],
+        ),
+    ],
+    ids=["bp-order", "moduli", "qpfit"],
+)
+def test_a_printed_integer_too_long_is_refused(capsys, monkeypatch, target, fake, argv):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no limit on integer string conversion")
+    monkeypatch.setattr(cli, target, partial(fake, big=10**limit))
+    code, lines, err = run_cli(capsys, *argv)
+    assert (code, lines) == (1, [])
+    assert "decimal digits in one integer" in err and f"(budget {limit})" in err
+
+
+# a ValueError raised while a line is built that is not an integer too long
+# to print is no refusal: it reaches main as a usage error with its message
+@pytest.mark.parametrize(
+    "module, argv",
+    [
+        (report, ["classify", "2", "2", "2", "3", "5"]),
+        (report, ["scan", "--n", "3", "--amax", "3"]),
+        (cli, ["family", "standard", "--m", "2", "--k", "2"]),
+        (cli, ["euler", "--n", "6", "--p", "8", "--l", "3"]),
+    ],
+    ids=["classify", "scan", "family", "euler"],
+)
+def test_a_value_error_while_printing_is_not_a_refusal(capsys, monkeypatch, module, argv):
+    def fail(x):
+        raise ValueError("not a digit fault")
+
+    monkeypatch.setattr(module, "to_jsonable", fail)
+    code, lines, err = run_cli(capsys, *argv)
+    assert (code, lines) == (2, [])
+    assert "error: not a digit fault" in err and "refused" not in err
 
 
 def test_refusal_exits_1(capsys, monkeypatch):
