@@ -127,9 +127,15 @@ def to_jsonable(x):
     Anything else is returned unchanged, so ints stay JSON numbers.
     """
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        return _ratio(x.numerator, x.denominator)
     if isinstance(x, dict):
         return {k: to_jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [to_jsonable(v) for v in x]
     return x
+
+
+def _ratio(num: int, den: int) -> str:
+    """to_jsonable of Fraction(num, den), for num/den already in lowest terms
+    with den > 0, with no Fraction built."""
+    return f"{num}/{den}"

@@ -3,35 +3,49 @@ stderr.
 
 Exit codes: 0 success, 1 refusal (budget, missing primes, regime, an
 unusable or corrupt cache, a record holding an integer longer than the
-interpreter prints), 2 usage error, 3 internal invariant violation.
-The BPLINKS_TAU_BUDGET environment variable (default 10^8) is the one
-budget: it bounds the box points of tau_brute, the residue-DP steps of
-tau_kernel, the gcd graph, the Bernoulli table, moduli and euler.
-tau_kernel's closed form for (2, 2, a, b, c) with a, b, c pairwise
-coprime takes no DP steps, so the budget never refuses it.  Every budget
-refusal prints its estimate and limit.
+interpreter prints) or a reader that closed stdout, 2 usage error,
+3 internal invariant violation.  The BPLINKS_TAU_BUDGET environment
+variable (default 10^8) is the one budget: it bounds the box points of
+tau_brute, the residue-DP steps of tau_kernel, the gcd graph, the
+Bernoulli table, moduli and euler.  tau_kernel's closed form for
+(2, 2, a, b, c) with a, b, c pairwise coprime takes no DP steps, so the
+budget never refuses it.  Every budget refusal prints its estimate and
+limit.
 
-scan iterates report.scan_links, which walks the sorted vectors and checks
---n >= 3 once (argparse makes a smaller n a usage error before any work).
-It hands scan_links the cache's entries as the known signatures (none
-under --paranoid, which recomputes them all); after each record one block
-counts a hit or writes the record, and exits 3 on a cached signature that
-differs from the recomputed one in any field.  Its one stderr line counts
-the links matched and the vectors walked and, with --cache, the cache hits
-and writes; it holds no timings, so it is as deterministic as stdout.
+scan iterates report._walk, the walk of report.scan_links, which checks
+--n >= 3 once (argparse makes a smaller n a usage error before any work)
+and yields each sorted vector with the state the walk carries: its text,
+its gcd components with their text, P, N, lcm and signature.  It hands the
+walk the cache's entries as the known signatures (none under --paranoid,
+which recomputes them all); for each vector one block counts a hit or
+writes the signature, and exits 3 on a cached signature that differs from
+the recomputed one in any field.  report._scan_line then decides the
+vector from those values and formats its line, with no record object
+built; the line is report_to_json(classify_link(v)) byte for byte.  Its
+one stderr line counts the links matched and the vectors walked and, with
+--cache, the cache hits and writes; it holds no timings, so it is as
+deterministic as stdout.
 
-classify and scan print each record as the one line report.report_to_json
-formats, with no dict built for it.  Every other JSON line, on stdout and
-in the scan cache, goes through one module-level encoder, _encode, which
-also encodes report_to_dict's records in the tests as report_to_json's
-oracle.  It is json.dumps's encoder without the circular-reference check:
-each record is a freshly built tree with no cycles, so the id() markers
-that check fills for every container of every record buy nothing.
-Separators, ensure_ascii and allow_nan keep their defaults, so the bytes
-are json.dumps's.  report_to_json and _emit build a whole line under one
-guard: a ValueError raised while building it is a refusal (exit 1) when
-report._check_digits finds an integer of the record past the interpreter's
-limit on integer string conversion, and otherwise goes on to main (exit 2).
+classify and scan print each record through report's one formatter, with
+no dict built for it: classify by report.report_to_json on the record,
+scan by report._scan_line on the walk's values.  Every other JSON line, on
+stdout and in the scan cache, goes through one module-level encoder,
+_encode, which also encodes report_to_dict's records in the tests as
+report_to_json's oracle.  It is json.dumps's encoder without the
+circular-reference check: each record is a freshly built tree with no
+cycles, so the id() markers that check fills for every container of every
+record buy nothing.  Separators, ensure_ascii and allow_nan keep their
+defaults, so the bytes are json.dumps's.  report_to_json, _scan_line and
+_emit build a whole line under one guard: a ValueError raised while
+building it is a refusal (exit 1) when report._check_digits finds an
+integer of the record past the interpreter's limit on integer string
+conversion, and otherwise goes on to main (exit 2).
+
+A reader that closes stdout (bplinks scan ... | head -1) ends any command
+with exit 1 and no traceback: main catches the BrokenPipeError, flushing
+stdout itself so that one raised at the last write is caught too, and
+points stdout at /dev/null so the interpreter's final flush cannot fail.
+The scan cache's handle is closed on the way out, so it holds whole lines.
 """
 
 from __future__ import annotations
@@ -51,7 +65,7 @@ from .families import TauFit, brieskorn_reference, fit_exotic_tau, gen_exotic, g
 from .families import gen_standard
 from .lattice import SignatureResult, tau_brute, tau_kernel
 from .moduli import mean_euler, moduli_dimension
-from .report import _check_digits, classify_link, report_to_json, scan_links
+from .report import _check_digits, _scan_line, _walk, classify_link, report_to_json
 from .topology import _gcd_components, _graph_from_components, _sphere_from_graph
 from .topology import diffeo_class_even, exponent_vector
 
@@ -113,7 +127,8 @@ class ScanCache:
 
     def _load(self) -> bool:
         """Read every record.  A header of another version is refused, and
-        so is a record that does not parse or lacks a field of the signature.
+        so is a record that does not parse, or lacks a field of the
+        signature or holds one of the wrong type (_cached_signature).
         The one exception is a bad last line with no newline: a torn write
         from a killed scan, truncated away.  Returns True when a whole last
         record lacks only its newline."""
@@ -166,13 +181,18 @@ class ScanCache:
 
 
 def _cached_signature(rec: dict) -> SignatureResult:
-    return SignatureResult(
-        tau=rec["tau"],
-        plus_count=rec["plus"],
-        minus_count=rec["minus"],
-        boundary_skipped=rec["boundary"],
-        method=rec["method"],
-    )
+    """The signature of a cache record; a TypeError when a field has the
+    wrong type: the vector not a list of ints, a count not an int (a bool is
+    not one), the method not a string.  Values are not checked: --paranoid
+    recomputes them."""
+    vector, counts = rec["vector"], [rec["tau"], rec["plus"], rec["minus"], rec["boundary"]]
+    if not (
+        type(vector) is list
+        and all(type(x) is int for x in vector + counts)
+        and type(rec["method"]) is str
+    ):
+        raise TypeError("a field of the wrong type")
+    return SignatureResult(*counts, rec["method"])
 
 
 # ---------------------------------------------------------------------------
@@ -265,28 +285,24 @@ def _cmd_scan(args) -> int:
     # the cache's handle is closed on every exit, so it is complete on return
     with (ScanCache(Path(args.cache)) if args.cache else nullcontext()) as cache:
         known = cache.entries if cache is not None and not args.paranoid else {}
-        for rep in scan_links(args.n, args.amax, known):
+        for a, text, comps, p, num, d, sig in _walk(args.n, args.amax, known):
             vectors += 1
-            if cache is not None and rep.signature is not None:
-                pre = cache.entries.get(rep.vector)
+            if cache is not None and sig is not None:
+                pre = cache.entries.get(a)
                 if pre is None:
-                    cache.put(rep.vector, rep.signature)
+                    cache.put(a, sig)
                     writes += 1
-                elif pre != rep.signature:  # only under --paranoid, which recomputes
+                elif pre != sig:  # only under --paranoid, which recomputes
                     raise InvariantViolation(
-                        f"cache disagrees with recomputation on {rep.vector}: "
-                        f"cached {pre} != recomputed {rep.signature}"
+                        f"cache disagrees with recomputation on {a}: "
+                        f"cached {pre} != recomputed {sig}"
                     )
                 else:
                     hits += 1
-            if args.filter == "sphere" and not rep.sphere.is_homotopy_sphere:
-                continue
-            if args.filter == "se-sphere" and not (
-                rep.sphere.is_homotopy_sphere and rep.stability.se_metric_exists
-            ):
-                continue
-            write(report_to_json(rep) + "\n")
-            count += 1
+            line = _scan_line(a, text, comps, p, num, d, sig, args.filter)
+            if line is not None:
+                write(line)
+                count += 1
     summary = f"scan: {count} links matched of {vectors} vectors"
     if args.cache:
         summary += f"; cache {hits} hits, {writes} writes"
@@ -379,7 +395,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "family" and args.kind == "odd" and args.pn is None:
             parser.error("family odd requires --pn")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone by now fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout: stop, and print nothing more
+        # stdout goes to /dev/null, so the interpreter's last flush of what
+        # is still buffered cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except RefusalError as err:
         _diag(f"refused: {err}")
         return err.exit_code

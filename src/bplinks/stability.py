@@ -68,6 +68,17 @@ def k_stability(a: Sequence[int]) -> StabilityReport:
 def _stability_report(a: tuple, n: int, p: int, num: int, d: int) -> StabilityReport:
     """k_stability of the sorted, validated vector a of length n + 1, given
     p = prod a_i, num = sum p/a_i (so sum 1/a_i = num/p) and d = lcm a_i."""
+    log_fano, semi, poly, boundary, weights, index = _stability_values(a, n, p, num, d)
+    contact = _contact(n, index)
+    return StabilityReport(
+        a, Fraction(num, p), log_fano, semi, poly, poly, boundary, d, weights, index, contact
+    )
+
+
+def _stability_values(a: tuple, n: int, p: int, num: int, d: int) -> tuple:
+    """The decisions of _stability_report(a, n, p, num, d): (log_fano,
+    k_semistable, k_polystable, boundary_semistable, weights,
+    index_invariant).  se_metric_exists is k_polystable."""
     an = a[-1]
     log_fano = num > p
     lhs, rhs = num * an, p * (an + n)  # sum 1/a_i vs 1 + n/a_n, times p*a_n
@@ -77,15 +88,12 @@ def _stability_report(a: tuple, n: int, p: int, num: int, d: int) -> StabilityRe
     weights = tuple([d // ai for ai in a])
     index = sum(weights) - d
     # the index form is equivalent to the inequality form; check every call
-    s = Fraction(num, p)
     if poly != (0 < index < n * weights[-1]):
         raise InvariantViolation(
             f"inequality form and index form disagree on {a}: "
-            f"sum={s}, I={index}, n*d_n={n * weights[-1]}"
+            f"sum={Fraction(num, p)}, I={index}, n*d_n={n * weights[-1]}"
         )
-    return StabilityReport(
-        a, s, log_fano, semi, poly, poly, semi and not poly, d, weights, index, _contact(n, index)
-    )
+    return log_fano, semi, poly, semi and not poly, weights, index
 
 
 def fujita_subset_oracle(a: Sequence[int]) -> dict:

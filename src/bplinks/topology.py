@@ -88,43 +88,57 @@ def build_gcd_graph(a: Sequence[int]) -> GcdGraph:
 
 def _gcd_components(a: tuple) -> list:
     """build_gcd_graph's fold over the sorted, validated vector a: its
-    components as (sorted indices, lcm of their values) pairs in
-    least-index order, refused first past the budget on gcd tests."""
+    components as (sorted indices, lcm of their values, value text) triples
+    in least-index order, refused first past the budget on gcd tests."""
     starts = [i for i in range(len(a)) if i == 0 or a[i] != a[i - 1]]
     check_budget("build_gcd_graph", len(starts) * (len(starts) - 1) // 2, "gcd tests")
     comps = ()
     for i in starts:
-        comps = _join_vertex(comps, i, a[i])
+        comps = _join_vertex(comps, a, i, str(a[i]))
     ends = dict(zip(starts, starts[1:] + [len(a)]))
-    return [(tuple(j for i in c for j in range(i, ends[i])), m) for c, m in comps]
+    out = []
+    for c, m, _ in comps:
+        members = tuple(j for i in c for j in range(i, ends[i]))
+        out.append((members, m, ", ".join([str(a[j]) for j in members])))
+    return out
 
 
 def _graph_from_components(a: tuple, comps) -> GcdGraph:
     """The GcdGraph of the sorted, validated vector a whose components are
-    comps: (sorted indices, lcm of their values) pairs in least-index order,
-    as _join_vertex carries them.  A component holds an even entry iff its
-    lcm is even, so the parity of one lcm per component finds the evens."""
-    components, isolated, ev = [], [], ()
-    for c, m in comps:
-        components.append(c)
-        if len(c) == 1:
-            isolated.append(c[0])
-        if m % 2 == 0:
+    comps, as _join_vertex carries them."""
+    isolated, ev = _split_components(a, comps)
+    return GcdGraph(a, tuple([c[0] for c in comps]), isolated, ev[0] if ev else ())
+
+
+def _split_components(a: tuple, comps) -> tuple:
+    """(isolated, ev) of the sorted vector a whose components are comps:
+    the indices of its isolated points, and the one component of comps
+    holding its even entries (None when it has none).  A component holds an
+    even entry iff its lcm is even, so one parity test per component finds
+    the evens."""
+    isolated, ev = [], None
+    for comp in comps:
+        if len(comp[0]) == 1:
+            isolated.append(comp[0][0])
+        if comp[1] % 2 == 0:
             # even-even gcd >= 2, so all even entries lie in one component
-            if ev:
+            if ev is not None:
                 raise InvariantViolation(f"even entries of {a} lie in more than one component")
-            ev = c
-    return GcdGraph(a, tuple(components), tuple(isolated), ev)
+            ev = comp
+    return tuple(isolated), ev
 
 
-def _join_vertex(comps: tuple, i: int, v: int) -> tuple:
-    """The components after vertex i of value v is added to a graph whose
-    components, in least-index order, are comps: (sorted indices, lcm of
-    their values) pairs.  v is adjacent to a member of a component iff it
-    shares a prime with the component's lcm, so v joins every component
-    with gcd(v, lcm) > 1; those fuse at the position of the first, and a v
-    that joins none is a new last component.  i exceeds every index in
-    comps, so least-index order is kept."""
+def _join_vertex(comps: tuple, a: tuple, i: int, text: str) -> tuple:
+    """The components after vertex i, of value a[i] and value text text, is
+    added to a graph on a[:i] whose components, in least-index order, are
+    comps: (sorted indices, lcm of their values, their value text) triples,
+    the text being the values in index order joined by ", ".  a[i] is
+    adjacent to a member of a component iff it shares a prime with the
+    component's lcm, so it joins every component with gcd(a[i], lcm) > 1;
+    those fuse at the position of the first, and a value that joins none is
+    a new last component.  i exceeds every index in comps, so least-index
+    order is kept and the new vertex's text goes last."""
+    v = a[i]
     out = []
     first = -1
     for comp in comps:
@@ -133,14 +147,17 @@ def _join_vertex(comps: tuple, i: int, v: int) -> tuple:
         elif first < 0:
             first = len(out)
             out.append(comp)
-            members, m = comp
+            members, m, joined = comp
         else:
             members = tuple(sorted(members + comp[0]))
             m = lcm(m, comp[1])
+            joined = None  # the values interleave: rebuilt below
     if first < 0:
-        out.append(((i,), v))
+        out.append(((i,), v, text))
     else:
-        out[first] = (members + (i,), lcm(m, v))
+        if joined is None:
+            joined = ", ".join([str(a[j]) for j in members])
+        out[first] = (members + (i,), lcm(m, v), f"{joined}, {text}")
     return tuple(out)
 
 
@@ -163,38 +180,38 @@ def classify_sphere(a: Sequence[int]) -> SphereClassification:
 
 def _sphere_from_graph(g: GcdGraph) -> SphereClassification:
     """classify_sphere of the vector whose gcd graph is g."""
-    iso = g.isolated
-    if len(iso) >= 2:
-        return SphereClassification(
-            True, COND1, f"{len(iso)} isolated points {g.isolated_values()}", g
-        )
-    if len(iso) == 1:
-        v = g.vertices[iso[0]]
-        if v % 2 == 1 and _ev_component_ok(g):
-            return SphereClassification(
+    return SphereClassification(*_brieskorn(g.vertices, g.isolated, g.ev_component), g)
+
+
+def _brieskorn(a: tuple, isolated: tuple, ev: tuple) -> tuple:
+    """Brieskorn's criterion on the sorted vector a whose gcd graph has the
+    isolated points isolated and the ev-component ev (indices into a):
+    (is_homotopy_sphere, condition, reason)."""
+    if len(isolated) >= 2:
+        return True, COND1, f"{len(isolated)} isolated points {tuple([a[i] for i in isolated])}"
+    if len(isolated) == 1:
+        v = a[isolated[0]]
+        if v % 2 == 1 and _ev_component_ok(a, ev):
+            return (
                 True,
                 COND2,
                 f"unique odd isolated point {v}; ev-component of odd size "
-                f"{len(g.ev_component)} with pairwise gcd 2",
-                g,
+                f"{len(ev)} with pairwise gcd 2",
             )
         if v % 2 == 1:
-            return SphereClassification(
-                False, None, "unique odd isolated point but ev-component fails", g
-            )
-        return SphereClassification(False, None, "unique isolated point is even", g)
-    return SphereClassification(False, None, "no isolated points", g)
+            return False, None, "unique odd isolated point but ev-component fails"
+        return False, None, "unique isolated point is even"
+    return False, None, "no isolated points"
 
 
-def _ev_component_ok(g: GcdGraph) -> bool:
+def _ev_component_ok(a: tuple, ev: tuple) -> bool:
     """Odd size and pairwise gcds all 2, i.e. every entry is 2b with the
     halves b pairwise coprime: each half is checked against those before."""
-    ev = g.ev_component
     if len(ev) % 2 == 0:  # empty or even size fails
         return False
     before = 1
     for i in ev:
-        half, odd = divmod(g.vertices[i], 2)
+        half, odd = divmod(a[i], 2)
         if odd or gcd(half, before) != 1:
             return False
         before *= half
@@ -242,16 +259,24 @@ def _odd_diffeo_class(cls: SphereClassification) -> OddDiffeoClass:
     """arf_class of the homotopy sphere of odd n that cls classifies."""
     g = cls.graph
     dim = 2 * len(g.vertices) - 3  # = 2n-1 = 4m+1
+    arf = _arf(g.vertices, cls.condition, g.isolated, g.ev_component)
+    return OddDiffeoClass(arf, _bp_group(dim), dim)
 
-    arf = 0
-    if cls.condition == COND2:
-        # the isolated point is odd and the ev-component all even, so they
-        # are disjoint and cover every vertex iff their sizes add up
-        a0 = g.vertices[g.isolated[0]]
-        if a0 % 8 in (3, 5) and len(g.ev_component) + 1 == len(g.vertices):
-            arf = 1
 
-    return OddDiffeoClass(arf, "trivial" if dim in _TRIVIAL_BP_DIMS else "order2", dim)
+def _arf(a: tuple, condition: Optional[str], isolated: tuple, ev: tuple) -> int:
+    """The Arf invariant of the homotopy sphere of odd n whose sorted vector
+    a meets condition, with the isolated points isolated and the
+    ev-component ev (indices into a)."""
+    if condition != COND2:
+        return 0
+    # the isolated point is odd and the ev-component all even, so they are
+    # disjoint and cover every vertex iff their sizes add up
+    return int(a[isolated[0]] % 8 in (3, 5) and len(ev) + 1 == len(a))
+
+
+def _bp_group(dim: int) -> str:
+    """The group bP_{dim+1} of the links of dimension dim = 4m+1."""
+    return "trivial" if dim in _TRIVIAL_BP_DIMS else "order2"
 
 
 def diffeo_class_even(n: int, tau: int) -> EvenDiffeoClass:
@@ -259,10 +284,17 @@ def diffeo_class_even(n: int, tau: int) -> EvenDiffeoClass:
     homotopy sphere; anything else signals a counting bug upstream."""
     if n % 2 != 0 or n < 4:
         raise ValueError(f"diffeo_class_even requires even n >= 4, got {n}")
+    class_mod_bp, order = _class_mod_bp(n, tau)
+    return EvenDiffeoClass(tau, class_mod_bp, order)
+
+
+def _class_mod_bp(n: int, tau: int) -> tuple:
+    """(tau/8 mod |bP_{4m}|, bP_{4m}'s BPOrder) of a homotopy sphere of even
+    n = 2m >= 4 with signature tau."""
     if tau % 8 != 0:
         raise InvariantViolation(f"signature {tau} is not divisible by 8")
     order = bp_order(n // 2)
-    return EvenDiffeoClass(tau, (tau // 8) % order.order, order)
+    return (tau // 8) % order.order, order
 
 
 def _eigenvalue_one_count(t: Sequence[int]) -> int:

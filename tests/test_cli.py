@@ -2,8 +2,10 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 import tempfile
 import time
@@ -17,10 +19,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bplinks
 from bplinks import arith, cli, errors, families, lattice, moduli, report, topology
 from bplinks.cli import main
 from bplinks.primes import is_prime
-from bplinks.report import classify_link, report_to_dict
+from bplinks.report import classify_link, report_to_dict, report_to_json
 
 
 def run_cli(capsys, *argv):
@@ -298,6 +301,32 @@ def test_scan_prints_what_classify_link_says(n, amax, filt, cache):
     assert f"{len(expected)} links matched of {len(reports)} vectors" in err.getvalue()
 
 
+@pytest.mark.parametrize("n, amax", [(3, 6), (4, 5), (5, 5), (6, 5)])
+def test_scan_prints_report_to_json_of_classify_link_byte_for_byte(n, amax):
+    # scan formats each line from the walk's values, classify from a record:
+    # every filter, with no, a cold and a warm cache, prints the same bytes
+    vectors = combinations_with_replacement(range(2, amax + 1), n + 1)
+    reports = [classify_link(v) for v in vectors]
+    assert {r.sphere.is_homotopy_sphere and r.stability.se_metric_exists for r in reports} == {
+        True,
+        False,
+    }
+    for filt in ("all", "sphere", "se-sphere"):
+        want = "".join(report_to_json(r) + "\n" for r in reports if _kept(r, filt))
+        for cache in (None, "cold", "warm"):
+            argv = ["scan", "--n", str(n), "--amax", str(amax), "--filter", filt]
+            with tempfile.TemporaryDirectory() as tmp:
+                if cache is not None:
+                    argv += ["--cache", str(Path(tmp) / "c")]
+                if cache == "warm":  # a smaller scan leaves hits and misses
+                    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                        assert main(argv[:4] + [str(amax - 1)] + argv[5:]) == 0
+                out = io.StringIO()
+                with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                    assert main(argv) == 0
+            assert out.getvalue() == want, (filt, cache)
+
+
 def test_scan_even_split_is_an_invariant_violation(capsys, monkeypatch):
     # with no prime shared, the 2s fall into separate components
     monkeypatch.setattr(topology, "gcd", lambda x, y: 1)
@@ -552,6 +581,42 @@ def test_scan_refuses_cached_record_missing_a_field(capsys, tmp_path, field):
     assert len(reloaded.entries) == len(lines) - 1
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("vector", "x"),
+        ("vector", [2, 2, 2, 2, "2"]),
+        ("vector", [2, 2, 2, 2, 2.0]),
+        ("tau", "x"),
+        ("tau", True),
+        ("plus", 1.5),
+        ("minus", None),
+        ("boundary", [0]),
+        ("method", 3),
+    ],
+)
+def test_scan_refuses_cached_record_with_a_field_of_the_wrong_type(capsys, tmp_path, field, value):
+    cache = tmp_path / "scan.cache"
+    run_cli(capsys, "scan", "--n", "4", "--amax", "4", "--cache", str(cache))
+    lines = cache.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec[field] = value
+    lines[1] = json.dumps(rec)
+    cache.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "scan", "--n", "4", "--amax", "4", "--cache", str(cache))
+    assert code == 1 and out == []
+    assert "line 2" in err and "corrupt" in err
+
+    # on an unterminated last line the same record is a torn write: recomputed
+    cache.write_text("\n".join(lines[:1] + lines[2:] + lines[1:2]))
+    code, out, err = run_cli(capsys, "scan", "--n", "4", "--amax", "4", "--cache", str(cache))
+    assert code == 0 and len(out) == len(lines) - 1
+    assert "torn" in err
+    reloaded = cli.ScanCache(cache)  # the recomputed record is whole
+    reloaded.close()
+    assert len(reloaded.entries) == len(lines) - 1
+
+
 def test_scan_refuses_unusable_cache_path(capsys, tmp_path):
     for cache in (tmp_path / "missing" / "scan.cache", tmp_path):
         code, lines, err = run_cli(
@@ -581,6 +646,57 @@ def test_usage_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "classify", "2", "2", "2")  # too few exponents
     assert code == 2
     assert "error" in err
+
+
+def _bplinks_process(*argv, stdout):
+    env = {**os.environ, "PYTHONPATH": str(Path(bplinks.__file__).resolve().parents[1])}
+    return subprocess.Popen(
+        [sys.executable, "-m", "bplinks", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
+    )
+
+
+def test_a_reader_that_stops_early_ends_the_scan_quietly(tmp_path):
+    # scan | head -1: ~0.5 MB of lines, far more than the pipe holds, so the
+    # scan is still writing when its reader goes away
+    cache = tmp_path / "scan.cache"
+    proc = _bplinks_process(
+        "scan", "--n", "4", "--amax", "9", "--cache", str(cache), stdout=subprocess.PIPE
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert (proc.wait(timeout=60), err) == (1, "")
+    assert json.loads(first)["vector"] == [2, 2, 2, 2, 2]
+    data = cache.read_bytes()  # closed with whole lines, short of the whole scan
+    lines = data.decode().splitlines()
+    assert data.endswith(b"\n") and 1 < len(lines) < 793
+    assert all(json.loads(line) for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "2", "2", "2", "3", "5"],
+        ["tau", "2", "2", "2", "3", "5"],
+        ["qpfit", "--m", "2", "--k", "1", "--l", "3", "--samples", "7", "--verify", "0"],
+        ["family", "standard", "--m", "2", "--k", "2"],
+        ["bp-order", "--m", "3"],
+        ["moduli", "--n", "6", "--p", "8", "--l", "3"],
+        ["euler", "--n", "6", "--p", "8", "--l", "3"],
+        ["scan", "--n", "3", "--amax", "4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_exits_1_with_no_traceback_on_a_closed_stdout(argv):
+    read, write = os.pipe()
+    os.close(read)  # no reader: the first write to stdout fails
+    try:
+        proc = _bplinks_process(*argv, stdout=write)
+    finally:
+        os.close(write)
+    err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err and "Error" not in err
 
 
 def test_classify_of_a_long_vector_with_few_components_is_quick(capsys):
