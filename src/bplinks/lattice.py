@@ -437,32 +437,38 @@ def _coord_range_size(spec: CountSpec, i: int) -> int:
 
 
 def count_box(spec: CountSpec) -> int:
-    """Exact count for a CountSpec by visiting every point, one Fraction
-    sum per coordinate: the independent oracle for delta_closed and
-    beta_via_gamma.  The points are estimated first (the product of the
-    coordinate ranges) and refused past BPLINKS_TAU_BUDGET (default 10^8)."""
+    """Exact count for a CountSpec by visiting every point: the independent
+    oracle for delta_closed and beta_via_gamma.  It enumerates in integers
+    over one denominator: with threshold N/M and D = lcm(denoms), x_i/den_i
+    is x_i (D/den_i) M over D M, so each coordinate step spends the integer
+    x_i (D/den_i) M of a budget that starts at N D, and no Fraction is
+    built per point; the threshold stays a Fraction in the CountSpec.  The
+    points are estimated first (the product of the coordinate ranges) and
+    refused past BPLINKS_TAU_BUDGET (default 10^8)."""
     estimate = prod(_coord_range_size(spec, i) for i in range(len(spec.denoms)))
     check_budget("count_box", estimate, "points")
     k = len(spec.denoms)
+    D = lcm(*spec.denoms)
+    steps = [D // den * spec.threshold.denominator for den in spec.denoms]
     total = 0
 
     # strictness is checked once at the leaf on the full remaining budget
-    def rec(i: int, rem: Fraction):
+    def rec(i: int, rem: int):
         nonlocal total
         if i == k:
             if rem > 0 or not spec.strict_upper:
                 total += 1
             return
-        den = spec.denoms[i]
+        den, step = spec.denoms[i], steps[i]
         x = 1 if spec.lower_open[i] else 0
         while not (spec.upper_bounded[i] and x >= den):
-            f = Fraction(x, den)
+            f = x * step
             if f > rem:
                 break
             rec(i + 1, rem - f)
             x += 1
 
-    rec(0, spec.threshold)
+    rec(0, spec.threshold.numerator * D)
     return total
 
 

@@ -323,8 +323,9 @@ def report_to_json(r: LinkReport) -> str:
             "], [".join([", ".join(map(at, c)) for c in g.components]),
             ", ".join(map(at, g.isolated)),
             ", ".join(map(at, g.ev_component)),
-            stab.sum_recip, stab.log_fano, stab.k_semistable, stab.k_polystable,
-            stab.boundary_semistable, stab.d, '", "'.join(map(str, stab.weights)),
+            to_jsonable(stab.sum_recip), stab.log_fano, stab.k_semistable,
+            stab.k_polystable, stab.boundary_semistable, stab.d,
+            '", "'.join(map(str, stab.weights)),
             stab.index_invariant, stab.contact, stab.se_metric_exists,
             r.signature, class_mod_bp, order, arf, group,
         )
@@ -342,7 +343,7 @@ def _format(
     key order, as one f-string.  vector, input_vector, isolated, ev and
     weights are the texts of their entries joined by ", " (weights by
     '", "'), components the texts of the components joined by "], [", and
-    sum_recip is a Fraction or its to_jsonable text.  class_mod_bp and order
+    sum_recip the "num/den" text of sum 1/a_i.  class_mod_bp and order
     (|bP_4m|) are given for a homotopy sphere of even n, arf and group for
     one of odd n, and are None otherwise.  Strings of the record go through
     json's own ensure_ascii string encoder; the integers that report_to_dict
@@ -355,7 +356,7 @@ def _format(
         f'"reason": {_json_str(reason)}, '
         f'"graph": {{"components": [[{components}]], "isolated": [{isolated}], '
         f'"ev_component": [{ev}]}}, '
-        f'"stability": {{"sum_recip": "{to_jsonable(sum_recip)}", '
+        f'"stability": {{"sum_recip": "{sum_recip}", '
         f'"log_fano": {_JSON_BOOL[log_fano]}, "k_semistable": {_JSON_BOOL[semi]}, '
         f'"k_polystable": {_JSON_BOOL[poly]}, '
         f'"boundary_semistable": {_JSON_BOOL[boundary]}, '

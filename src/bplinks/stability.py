@@ -10,7 +10,11 @@ N = sum P/a_i, log Fano is N > P and polystable is N*a_n < P*(a_n + n).
 It is equivalent to 0 < I_a < n*d_n with d = lcm(a_i), d_i = d/a_i and
 I_a = sum d_i - d; every call computes both forms and raises
 InvariantViolation if they disagree.  The exponential subset criterion
-they were reduced from is kept as a test-scale oracle.
+they were reduced from is kept as a test-scale oracle,
+fujita_subset_oracle, which shares no code with them and also enumerates
+in integers over P.  A Fraction is built only for what is returned,
+StabilityReport.sum_recip and the oracle's min_value, and for the text of
+an InvariantViolation.
 """
 
 from __future__ import annotations
@@ -103,6 +107,11 @@ def fujita_subset_oracle(a: Sequence[int]) -> dict:
 
     over every subset S of size 1 <= k <= n-1.  Polystable iff log Fano and
     all values > 0; semistable iff log Fano and all values >= 0.
+
+    It enumerates in integers over P = prod a_i: 1 - 1/a_i is
+    (P - P/a_i)/P, so every value is an integer over P and log Fano is
+    sum P/a_i > P.  The one Fraction it builds is min_value, the least
+    value, in lowest terms.  It shares no code with k_stability.
     Exponential; refused beyond n = 12.
     """
     a = exponent_vector(a)
@@ -112,19 +121,16 @@ def fujita_subset_oracle(a: Sequence[int]) -> dict:
             f"subset oracle is exponential; n={n} exceeds the test-scale cap "
             f"{_SUBSET_ORACLE_MAX_N} (use k_stability instead)"
         )
-    ones = [1 - Fraction(1, ai) for ai in a]
+    p = prod(a)
+    ones = [p - p // ai for ai in a]  # P * (1 - 1/a_i)
     total = sum(ones)
-    log_fano = sum(Fraction(1, ai) for ai in a) > 1
-    min_val = None
-    for k in range(1, n):
-        for subset in combinations(range(n + 1), k):
-            val = k * total - n * sum(ones[i] for i in subset)
-            if min_val is None or val < min_val:
-                min_val = val
+    log_fano = sum(p // ai for ai in a) > p
+    # the least value of size k takes the greatest subset sum of size k
+    min_val = min(k * total - n * max(map(sum, combinations(ones, k))) for k in range(1, n))
     return {
         "polystable": log_fano and min_val > 0,
         "semistable": log_fano and min_val >= 0,
-        "min_value": min_val,
+        "min_value": Fraction(min_val, p),
     }
 
 

@@ -790,20 +790,20 @@ def test_a_printed_integer_too_long_is_refused(capsys, monkeypatch, target, fake
 # a ValueError raised while a line is built that is not an integer too long
 # to print is no refusal: it reaches main as a usage error with its message
 @pytest.mark.parametrize(
-    "module, argv",
+    "module, name, argv",
     [
-        (report, ["classify", "2", "2", "2", "3", "5"]),
-        (report, ["scan", "--n", "3", "--amax", "3"]),
-        (cli, ["family", "standard", "--m", "2", "--k", "2"]),
-        (cli, ["euler", "--n", "6", "--p", "8", "--l", "3"]),
+        (report, "to_jsonable", ["classify", "2", "2", "2", "3", "5"]),
+        (report, "_ratio", ["scan", "--n", "3", "--amax", "3"]),
+        (cli, "to_jsonable", ["family", "standard", "--m", "2", "--k", "2"]),
+        (cli, "to_jsonable", ["euler", "--n", "6", "--p", "8", "--l", "3"]),
     ],
     ids=["classify", "scan", "family", "euler"],
 )
-def test_a_value_error_while_printing_is_not_a_refusal(capsys, monkeypatch, module, argv):
-    def fail(x):
+def test_a_value_error_while_printing_is_not_a_refusal(capsys, monkeypatch, module, name, argv):
+    def fail(*args):
         raise ValueError("not a digit fault")
 
-    monkeypatch.setattr(module, "to_jsonable", fail)
+    monkeypatch.setattr(module, name, fail)
     code, lines, err = run_cli(capsys, *argv)
     assert (code, lines) == (2, [])
     assert "error: not a digit fault" in err and "refused" not in err

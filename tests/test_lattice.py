@@ -558,6 +558,78 @@ def test_count_box_refuses_a_huge_box_quickly(monkeypatch):
     assert time.perf_counter() - start < 1
 
 
+def fraction_count_box(spec):
+    """count_box's enumeration restated with one Fraction sum per
+    coordinate: the reference for its integer form."""
+    k = len(spec.denoms)
+    total = 0
+
+    def rec(i, rem):
+        nonlocal total
+        if i == k:
+            if rem > 0 or not spec.strict_upper:
+                total += 1
+            return
+        den = spec.denoms[i]
+        x = 1 if spec.lower_open[i] else 0
+        while not (spec.upper_bounded[i] and x >= den):
+            f = Fraction(x, den)
+            if f > rem:
+                break
+            rec(i + 1, rem - f)
+            x += 1
+
+    rec(0, spec.threshold)
+    return total
+
+
+@st.composite
+def small_specs(draw):
+    # threshold <= 2 and denominators <= 6 keep a box under 13^4 points
+    k = draw(st.integers(2, 4))
+    flags = st.tuples(*[st.booleans()] * k)
+    den = draw(st.integers(1, 8))
+    return count_spec(
+        draw(st.tuples(*[st.integers(1, 6)] * k)),
+        Fraction(draw(st.integers(0, 2 * den)), den),
+        draw(st.booleans()),
+        draw(flags),
+        draw(flags),
+    )
+
+
+@given(small_specs())
+# thresholds on a lattice point: (2, 0), (0, 3) and (2, 2) lie on the
+# boundary, counted only when the comparison is not strict
+@example(count_spec((2, 3), 1, strict_upper=True))
+@example(count_spec((2, 3), 1, strict_upper=False))
+@example(count_spec((4, 6), Fraction(5, 6), strict_upper=True, lower_open=True))
+@example(count_spec((4, 6), Fraction(5, 6), strict_upper=False, lower_open=True))
+# the corner of a bounded box, reached only at the threshold
+@example(count_spec((3, 5), Fraction(22, 15), strict_upper=True, upper_bounded=True))
+@example(count_spec((3, 5), Fraction(22, 15), strict_upper=False, upper_bounded=True))
+# threshold 0: the origin alone, when the lower bounds are closed
+@example(count_spec((3, 4), 0, strict_upper=False))
+@example(count_spec((3, 4), 0, strict_upper=True))
+@example(count_spec((3, 4), 0, lower_open=(False, True)))
+# denominators 1
+@example(count_spec((1, 1, 1), 2, strict_upper=True))
+@example(count_spec((1, 1, 1), 2, strict_upper=False))
+@example(count_spec((1, 5), Fraction(3, 2), lower_open=True, upper_bounded=(False, True)))
+def test_count_box_equals_its_fraction_restatement(spec):
+    assert count_box(spec) == fraction_count_box(spec)
+
+
+def test_count_box_builds_no_fraction_per_point(fractions_built):
+    small = count_spec((3, 4, 5), Fraction(1, 2))
+    large = count_spec((3, 4, 5), 6)
+    few, small_built = fractions_built(lambda: count_box(small))
+    many, large_built = fractions_built(lambda: count_box(large))
+    assert (few, many) == (fraction_count_box(small), fraction_count_box(large))
+    assert many > 100 * few
+    assert large_built == small_built
+
+
 # ---------------------------------------------------------------------------
 # closed-form counters
 

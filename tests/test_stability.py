@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bplinks.errors import RefusalError
+from bplinks.report import scan_links
 from bplinks.stability import (
     CONTACT_INCONCLUSIVE,
     CONTACT_INDIVISIBLE,
@@ -51,6 +53,64 @@ def test_fujita_oracle_examples():
 def test_fujita_oracle_refuses_large_n():
     with pytest.raises(RefusalError):
         fujita_subset_oracle((2,) * 14)
+
+
+def fraction_fujita(a):
+    """fujita_subset_oracle restated over Fractions, one value per subset:
+    the reference for its integer form."""
+    a = tuple(sorted(a))
+    n = len(a) - 1
+    ones = [1 - Fraction(1, ai) for ai in a]
+    total = sum(ones)
+    log_fano = sum(Fraction(1, ai) for ai in a) > 1
+    min_val = None
+    for k in range(1, n):
+        for subset in combinations(range(n + 1), k):
+            val = k * total - n * sum(ones[i] for i in subset)
+            if min_val is None or val < min_val:
+                min_val = val
+    return {
+        "polystable": log_fano and min_val > 0,
+        "semistable": log_fano and min_val >= 0,
+        "min_value": min_val,
+    }
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(st.integers(2, 12), st.integers(2, 10**4)), min_size=4, max_size=10))
+@example([2, 2, 3, 6])  # min_value 0: semistable, not polystable
+@example([2, 3, 7, 42])  # sum 1/a_i == 1: not log Fano
+@example([2, 2, 2, 2, 3, 3, 3, 3])  # the boundary at n = 7: min_value 0
+@example([10**4] * 13)  # n = 12
+@example([2] * 12 + [10**4])
+@example(list(range(9_988, 10_001)))
+def test_fujita_oracle_equals_its_fraction_restatement(values):
+    got = fujita_subset_oracle(values)
+    assert type(got["min_value"]) is Fraction
+    assert got == fraction_fujita(values)
+
+
+def test_fujita_oracle_builds_no_fraction_per_subset(fractions_built):
+    # 10 subsets at n = 3, 8177 at n = 12
+    small, large = (2, 3, 5, 7), tuple(range(2, 15))
+    _, small_built = fractions_built(lambda: fujita_subset_oracle(small))
+    _, large_built = fractions_built(lambda: fujita_subset_oracle(large))
+    assert large_built == small_built
+
+
+def test_k_stability_equals_the_oracle_on_every_scanned_vector():
+    # the 18 564 vectors of scan --n 5 --amax 14 and the 792 of --n 4 --amax 9
+    seen = 0
+    for n, amax in ((5, 14), (4, 9)):
+        for r in scan_links(n, amax):
+            res = fujita_subset_oracle(r.vector)
+            stab = r.stability
+            assert (stab.k_polystable, stab.k_semistable) == (
+                res["polystable"],
+                res["semistable"],
+            ), r.vector
+            seen += 1
+    assert seen == 18_564 + 792
 
 
 @given(
