@@ -1,6 +1,11 @@
 """Exact lattice-point counting: the Milnor-fiber signature by brute
 enumeration and by a 2-coordinate kernel, plus the gamma/delta/beta
-counters used to certify the quasi-polynomial structure.
+counters used to certify the quasi-polynomial structure.  The enumeration
+(tau_brute, the oracle) meets in the middle: it splits the box into two
+halves of about equal point counts, maps each half's points to their
+residues mod 2 lcm, and joins the two maps through sorted prefix counts,
+so it still counts every box point by its exact residue in memory near
+the square root of a balanced box, and shares no code with the kernel.
 
 The kernel runs on integers.  The sorted shape (2, 2, a, b, c) with a, b, c
 pairwise coprime has an O(log) closed form: minus is twice the interior
@@ -34,10 +39,13 @@ non-sphere input).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, gcd, lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .errors import DEFAULT_BUDGET, InvariantViolation, check_budget
@@ -178,30 +186,76 @@ def _window_counts(r: int, L: int, A: int, B: int):
 # Signature
 
 
-def tau_brute(a: Sequence[int]) -> SignatureResult:
-    """Signature by full enumeration of the open box 0 < x_i < a_i.
-
-    Works in integers: with d = lcm(a_i) and w_i = d/a_i, the residue of
-    d * sum(x_i/a_i) mod 2d lands in (0, d) for a +1 point and (d, 2d) for
-    a -1 point.  The box points are checked first against
-    BPLINKS_TAU_BUDGET (default 10^8).
-    """
-    a = exponent_vector(a)
-    check_budget("tau_brute", prod(ai - 1 for ai in a), "box points", hint="use tau_kernel instead")
-    d = lcm(*a)
+def _half_box_residues(half: tuple, d: int) -> dict:
+    """tau_brute's residue map of one half of the box: the number of points
+    0 < x_i < a_i (a_i in half) at each residue of sum(x_i * d/a_i) mod 2d.
+    The empty half is the one point at residue 0."""
     mod = 2 * d
     counts = {0: 1}
-    for ai in a:  # ascending order keeps intermediate residue maps small
+    for ai in half:
         w = d // ai
         nxt: dict[int, int] = {}
         for res, cnt in counts.items():
-            for x in range(1, ai):
-                r = (res + x * w) % mod
+            for step in range(w, d, w):  # x * w for 0 < x < a_i
+                r = (res + step) % mod
                 nxt[r] = nxt.get(r, 0) + cnt
         counts = nxt
-    plus = sum(cnt for r, cnt in counts.items() if 0 < r < d)
-    minus = sum(cnt for r, cnt in counts.items() if r > d)
-    boundary = counts.get(0, 0) + counts.get(d, 0)
+    return counts
+
+
+def tau_brute(a: Sequence[int]) -> SignatureResult:
+    """Signature by enumeration of the open box 0 < x_i < a_i, met in the
+    middle (Horowitz-Sahni).
+
+    Works in integers: with d = lcm(a_i) and w_i = d/a_i, the residue of
+    d * sum(x_i/a_i) mod 2d lands in (0, d) for a +1 point, in (d, 2d) for
+    a -1 point, and on 0 or d for a boundary point.  The box points are
+    checked first against BPLINKS_TAU_BUDGET (default 10^8).
+
+    Split: the sorted vector is cut at the k minimising
+    max(prod_{i<k}(a_i - 1), prod_{i>=k}(a_i - 1)), the largest such k, and
+    each half's residue map mod 2d is built one coordinate at a time
+    (_half_box_residues).  Join: a box point is a left point at residue r
+    and a right point at s, at residue (r + s) mod 2d.  With the right
+    residues sorted under prefix counts and lo = -r mod 2d, the left points
+    at r have as boundary partners the right points at lo and lo + d mod 2d
+    (two lookups), as +1 partners those in the open arc (lo, lo + d) and as
+    -1 partners those in (lo - d, lo), mod 2d.  One of the two arcs lies
+    within [0, 2d], and two bisections count it; the other is the rest of
+    the right half.  So it is still an enumeration: every box point is
+    counted by its exact residue, grouped with the points that share it,
+    with no floor sum, window, memo or symmetry fold, and it shares no code
+    with tau_kernel.
+
+    Memory: each map holds at most min(points of its half, 2d) entries, and
+    the split keeps the larger half near the square root of the box when no
+    one entry dominates; a vector with one huge entry a_i still holds about
+    a_i entries in the half that has it.
+    """
+    a = exponent_vector(a)
+    left_points = list(accumulate((ai - 1 for ai in a), mul, initial=1))
+    box = left_points[-1]
+    check_budget("tau_brute", box, "box points", hint="use tau_kernel instead")
+    # the first minimum from the top is the largest minimising k
+    k = min(range(len(a), -1, -1), key=lambda k: max(left_points[k], box // left_points[k]))
+    d = lcm(*a)
+    mod = 2 * d
+    left = _half_box_residues(a[:k], d)
+    right = _half_box_residues(a[k:], d)
+    keys = sorted(right)
+    below = [0, *accumulate([right[s] for s in keys])]  # points at keys[:i]
+    half = below[-1]
+    plus = boundary = 0
+    for r, cnt in left.items():
+        lo = -r % mod  # the partner at lo sums to 0, the one at lo +- d to d
+        on_r = right.get(lo, 0) + right.get((lo + d) % mod, 0)
+        if lo <= d:  # the +1 arc (lo, lo + d) lies in [0, 2d]
+            plus_r = below[bisect_left(keys, lo + d)] - below[bisect_right(keys, lo)]
+        else:  # the -1 arc (lo - d, lo) does
+            plus_r = half - on_r - below[bisect_left(keys, lo)] + below[bisect_right(keys, lo - d)]
+        plus += cnt * plus_r
+        boundary += cnt * on_r
+    minus = box - plus - boundary
     return SignatureResult(
         tau=plus - minus,
         plus_count=plus,

@@ -39,6 +39,10 @@ def _check(num, desc, limit_s, body):
     print(f"criterion {num:2d}: PASS - {desc} [{elapsed:.1f}s]")
 
 
+def _fields(sig):
+    return sig.tau, sig.plus_count, sig.minus_count, sig.boundary_skipped
+
+
 def test_criterion_01_brieskorn_reference_spheres():
     def body():
         for m in (2, 3):
@@ -89,8 +93,9 @@ def test_criterion_04_exotic_family_end_to_end():
         assert sig.tau % 8 == 0
         assert (sig.tau // 8) % 28 == 1
         assert sig.boundary_skipped == 0
+        assert _fields(tau_brute((2, 2, 338, 339, 341))) == _fields(sig)
 
-    _check(4, "(2,2,338,339,341): 8 | tau and (tau/8) mod 28 = 1", 300, body)
+    _check(4, "(2,2,338,339,341): 8 | tau and (tau/8) mod 28 = 1, brute = kernel", 300, body)
 
 
 def test_criterion_05_standard_family_divisibility():
@@ -99,8 +104,9 @@ def test_criterion_05_standard_family_divisibility():
         assert sig.tau % 8 == 0
         assert (sig.tau // 8) % 28 == 0
         assert diffeo_class_even(4, sig.tau).is_standard
+        assert _fields(tau_brute((3, 3, 3, 1345, 4034))) == _fields(sig)
 
-    _check(5, "(3,3,3,1345,4034) with k = 16*28 lands in class 0 mod 28", 300, body)
+    _check(5, "(3,3,3,1345,4034) with k = 16*28 lands in class 0 mod 28, brute = kernel", 300, body)
 
 
 def test_criterion_06_k_stability_equivalence():

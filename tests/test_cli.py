@@ -83,6 +83,11 @@ def test_tau_golden(capsys):
     assert out["class"] == "1 mod 28"
     assert out["boundary_skipped"] == 0
 
+    # the oracle enumerates all 38 728 040 box points, met in the middle
+    code, lines, _ = run_cli(capsys, "tau", "--method", "brute", "2", "2", "338", "339", "341")
+    assert code == 0
+    assert lines[0]["tau"] == 13023816 and lines[0]["class"] == "1 mod 28"
+
     # 8 | tau, but the link is not a homotopy sphere, so it has no bP class
     code, lines, _ = run_cli(capsys, "tau", "2", "2", "2", "3", "6")
     assert code == 0

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from bplinks import lattice
 from bplinks.errors import InvariantViolation, RefusalError
+from bplinks.families import gen_exotic
 from bplinks.lattice import (
     _count_eq_2d,
     _dedekind_d,
@@ -46,6 +48,27 @@ def oracle_tau(a):
         else:
             minus += 1
     return plus - minus, boundary
+
+
+def residue_dp_tau(a):
+    """(tau, plus, minus, boundary) by one residue map over the whole box:
+    the single-pass DP that tau_brute's half-box join must equal.
+    With d = lcm(a_i), a point's residue d * sum(x_i/a_i) mod 2d is plus
+    in (0, d), minus in (d, 2d) and boundary at 0 or d."""
+    d = lcm(*a)
+    mod = 2 * d
+    counts = {0: 1}
+    for ai in sorted(a):  # ascending order keeps intermediate residue maps small
+        w = d // ai
+        nxt = {}
+        for res, cnt in counts.items():
+            for x in range(1, ai):
+                r = (res + x * w) % mod
+                nxt[r] = nxt.get(r, 0) + cnt
+        counts = nxt
+    plus = sum(cnt for r, cnt in counts.items() if 0 < r < d)
+    minus = sum(cnt for r, cnt in counts.items() if r > d)
+    return plus - minus, plus, minus, counts.get(0, 0) + counts.get(d, 0)
 
 
 def oracle_triangle(p, l, j):
@@ -281,11 +304,32 @@ def test_tau_examples():
     assert tau_kernel((2, 2, 2, 3, 5)).tau == 8
 
 
+def _exotic_n6_members(max_box):
+    """Every gen_exotic(3, 1, l, q) that the K-stability gate admits and
+    whose box holds at most max_box points, as (l, q, vector)."""
+    members = []
+    for l in (3, 5):
+        for q in itertools.count(1):
+            try:
+                vector = gen_exotic(3, 1, l, q).vector
+            except RefusalError:
+                continue  # p too small for the gate; it admits every larger q
+            if prod(ai - 1 for ai in vector) > max_box:
+                break
+            members.append((l, q, vector))
+    return members
+
+
 def test_tau_kernel_matches_brute_on_cross_validation_instance():
     assert prod(ai - 1 for ai in (3, 3, 3, 7, 20)) == 912
     vectors = [(3, 3, 3, 7, 20)]
     vectors += itertools.combinations_with_replacement(range(2, 10), 5)
-    assert len(vectors) == 1 + 792
+    # the n = 6 exotic family, whose kernel takes the residue DP over the
+    # outer (2, 2, p, p, p)
+    exotic = _exotic_n6_members(10**8)
+    assert [(l, q) for l, q, _ in exotic] == [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 1)]
+    vectors += [vector for _, _, vector in exotic]
+    assert len(vectors) == 1 + 792 + 6
     for a in vectors:
         b = tau_brute(a)
         k = tau_kernel(a)
@@ -389,6 +433,53 @@ def test_tau_matches_rational_oracle_small():
         k = tau_kernel(a)
         assert (b.tau, b.boundary_skipped) == (tau, boundary), a
         assert (k.tau, k.boundary_skipped) == (tau, boundary), a
+
+
+@st.composite
+def brute_boxes(draw):
+    # n = 3..7 (4 to 8 entries), entries 2..40, at most 2 * 10^4 box points
+    a, room = [], 20_000
+    for _ in range(draw(st.integers(4, 8))):
+        ai = draw(st.integers(2, min(40, room + 1)))
+        a.append(ai)
+        room //= ai - 1
+    return tuple(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=brute_boxes())
+@example(a=(2, 2, 2, 2, 2))  # every split ties: the right half is empty
+@example(a=(2, 2, 2, 3, 5))
+@example(a=(2, 2, 2, 3, 1001))  # skewed: the one large entry is a half alone
+@example(a=(2, 2, 14, 14, 14, 15, 17))  # repeats: gen_exotic(3, 1, 3, 2)
+@example(a=(3, 3, 3, 3, 3, 3))  # 2d = 6: each half meets every residue and arc end
+def test_tau_brute_equals_the_single_residue_map(a):
+    assert _fields(tau_brute(a)) == residue_dp_tau(a)
+
+
+def test_tau_brute_memory_stays_near_the_square_root_of_the_box():
+    # 979 200 box points: one residue map over the whole box takes ~82 MiB
+    tracemalloc.start()
+    try:
+        sig = tau_brute((2, 2, 97, 101, 103))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert _fields(sig) == _fields(tau_kernel((2, 2, 97, 101, 103)))
+
+
+def test_tau_brute_uses_no_kernel_code(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the oracle reached the kernel")
+
+    kernel = ("_outer_residues", "_window_memo", "_window_counts", "_floor_sum", "_tetrahedron_interior")
+    for name in kernel:
+        monkeypatch.setattr(lattice, name, forbidden)
+    with pytest.raises(AssertionError, match="reached the kernel"):
+        tau_kernel((2, 2, 3, 5, 7))
+    for a in [(2, 2, 3, 5, 7), (2, 3, 4, 5, 7), (3, 3, 3, 7, 20), (2, 2, 14, 14, 14, 15, 17)]:
+        assert _fields(tau_brute(a)) == residue_dp_tau(a), a
 
 
 def _sawtooth(x: Fraction) -> Fraction:
