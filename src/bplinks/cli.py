@@ -19,27 +19,24 @@ its gcd components with their text, P, N, lcm and signature.  It hands the
 walk the cache's entries as the known signatures (none under --paranoid,
 which recomputes them all); for each vector one block counts a hit or
 writes the signature, and exits 3 on a cached signature that differs from
-the recomputed one in any field.  report._scan_line then decides the
-vector from those values and formats its line, with no record object
-built; the line is report_to_json(classify_link(v)) byte for byte.  Its
-one stderr line counts the links matched and the vectors walked and, with
---cache, the cache hits and writes; it holds no timings, so it is as
-deterministic as stdout.
+the recomputed one in any field.  Its one stderr line counts the links
+matched and the vectors walked and, with --cache, the cache hits and
+writes; it holds no timings, so it is as deterministic as stdout.
 
-classify and scan print each record through report's one formatter, with
-no dict built for it: classify by report.report_to_json on the record,
-scan by report._scan_line on the walk's values.  Every other JSON line, on
-stdout and in the scan cache, goes through one module-level encoder,
-_encode, which also encodes report_to_dict's records in the tests as
-report_to_json's oracle.  It is json.dumps's encoder without the
-circular-reference check: each record is a freshly built tree with no
+classify and scan print each link through report._line, the one writer of
+its JSON line, from plain values with no record object and no dict built:
+classify on report._link_state of its exponents, scan on each state of the
+walk.  Every other JSON line, on stdout and in the scan cache, goes through
+one module-level encoder, _encode, which also encodes report_to_dict's
+records in the tests as _line's oracle.  It is json.dumps's encoder without
+the circular-reference check: each record is a freshly built tree with no
 cycles, so the id() markers that check fills for every container of every
 record buy nothing.  Separators, ensure_ascii and allow_nan keep their
-defaults, so the bytes are json.dumps's.  report_to_json, _scan_line and
-_emit build a whole line under one guard: a ValueError raised while
-building it is a refusal (exit 1) when report._check_digits finds an
-integer of the record past the interpreter's limit on integer string
-conversion, and otherwise goes on to main (exit 2).
+defaults, so the bytes are json.dumps's.  _line and _emit build a whole
+line under one guard: a ValueError raised while building it is a refusal
+(exit 1) when report._check_digits finds an integer of the record past the
+interpreter's limit on integer string conversion, and otherwise goes on to
+main (exit 2).
 
 A reader that closes stdout (bplinks scan ... | head -1) ends any command
 with exit 1 and no traceback: main catches the BrokenPipeError, flushing
@@ -65,8 +62,8 @@ from .families import TauFit, brieskorn_reference, fit_exotic_tau, gen_exotic, g
 from .families import gen_standard
 from .lattice import SignatureResult, tau_brute, tau_kernel
 from .moduli import mean_euler, moduli_dimension
-from .report import _check_digits, _scan_line, _walk, classify_link, report_to_json
-from .topology import _gcd_components, _graph_from_components, _sphere_from_graph
+from .report import _check_digits, _line, _link_state, _walk
+from .topology import _brieskorn, _gcd_components, _split_components
 from .topology import diffeo_class_even, exponent_vector
 
 CACHE_VERSION = 1
@@ -127,8 +124,9 @@ class ScanCache:
 
     def _load(self) -> bool:
         """Read every record.  A header of another version is refused, and
-        so is a record that does not parse, or lacks a field of the
-        signature or holds one of the wrong type (_cached_signature).
+        so is a record that does not parse (an integer longer than the
+        interpreter converts included), or lacks a field of the signature or
+        holds one of the wrong type (_cached_signature).
         The one exception is a bad last line with no newline: a torn write
         from a killed scan, truncated away.  Returns True when a whole last
         record lacks only its newline."""
@@ -139,7 +137,7 @@ class ScanCache:
         try:
             header = json.loads(lines[0])
             version = header["version"]
-        except (json.JSONDecodeError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError):  # ValueError: JSONDecodeError too
             raise RefusalError(f"cache {self.path} line 1: bad version header")
         if version != CACHE_VERSION:
             raise RefusalError(
@@ -153,7 +151,7 @@ class ScanCache:
             try:
                 rec = json.loads(line)
                 self.entries[tuple(rec["vector"])] = _cached_signature(rec)
-            except (json.JSONDecodeError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError):
                 if lineno == len(lines) and unterminated:
                     keep = data.rfind(b"\n") + 1
                     os.truncate(self.path, keep)
@@ -200,8 +198,7 @@ def _cached_signature(rec: dict) -> SignatureResult:
 
 
 def _cmd_classify(args) -> int:
-    rep = classify_link(args.exponents)
-    sys.stdout.write(report_to_json(rep) + "\n")
+    sys.stdout.write(_line(*_link_state(args.exponents), "all"))
     return 0
 
 
@@ -211,9 +208,9 @@ def _cmd_tau(args) -> int:
     sig = engine(a)
     cls = None
     n = len(a) - 1
-    if n % 2 == 0:  # the sphere decision folds the validated a, as classify_link does
-        graph = _graph_from_components(a, _gcd_components(a))
-        if _sphere_from_graph(graph).is_homotopy_sphere:
+    if n % 2 == 0:  # the sphere decision folds the validated a, as classify does
+        isolated, ev = _split_components(a, _gcd_components(a))
+        if _brieskorn(a, isolated, ev[0] if ev else ())[0]:
             cls = diffeo_class_even(n, sig.tau)
     _emit((a, sig, cls), _tau_dict)
     return 0
@@ -299,7 +296,7 @@ def _cmd_scan(args) -> int:
                     )
                 else:
                     hits += 1
-            line = _scan_line(a, text, comps, p, num, d, sig, args.filter)
+            line = _line(a, a, text, comps, p, num, d, sig, args.filter)
             if line is not None:
                 write(line)
                 count += 1

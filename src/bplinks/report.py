@@ -15,15 +15,19 @@ owns its rule: topology._split_components (isolated points, the
 ev-component and the even-split InvariantViolation), topology._brieskorn
 (Brieskorn's criterion and its reason), stability._stability_values (the
 inequality form, cross-checked against the index form), topology._arf and
-topology._class_mod_bp (the bP class).  Two leaves call them on the walk's
-state.  _link_report builds the record (LinkReport, GcdGraph,
-SphereClassification, StabilityReport); classify_link validates its vector
-once (tau_kernel, at even n, once more) and hands it build_gcd_graph's
-fold, prod, sum and lcm, and scan_links hands it the walk's state with
-known signatures read from a mapping (the scan cache's entries).
-_scan_line builds the printed line of a vector from the same state with no
-record built, for the CLI's scan; classify_link is the walk's oracle in
-the tests, and report_to_json(classify_link(v)) the line's.
+topology._class_mod_bp (the bP class).  Two leaves call them on one state,
+(original, a, text, comps, p, num, d, signature): the entries as given, the
+sorted vector a and its text, and what _walk carries.  _walk yields it
+without original, which is a itself on a scan; _link_state builds it for
+one vector, validated once (tau_kernel, at even n, once more), from
+build_gcd_graph's fold, prod, sum and lcm.  _link_report builds the record (LinkReport, GcdGraph,
+SphereClassification, StabilityReport): classify_link is it over
+_link_state, scan_links over the walk, with known signatures read from a
+mapping (the scan cache's entries).  _line builds the printed line from the
+same state with no record built; it is the one writer of the JSON line of
+a link, for both the CLI's classify and its scan.  report_to_dict stays
+the dict API and, run through cli._encode, the byte-for-byte oracle of
+_line; classify_link is the walk's oracle in the tests.
 
 The four records that _link_report builds (LinkReport, GcdGraph,
 SphereClassification, StabilityReport) are slotted, not frozen,
@@ -34,19 +38,13 @@ in field order: a dataclass __init__ matches each keyword at about 40 ns on
 CPython 3.11, so StabilityReport's 11 keywords took 0.65 us against 0.25 us
 positionally.
 
-_format writes the JSON line as one f-string over plain values, in
+_line writes the JSON line as one f-string over plain values, in
 report_to_dict's key order, with no dict built and no general encoder
-pass.  It has two callers: report_to_json, with a record's fields, and
-_scan_line, with the walk's values and carried text.  report_to_dict stays
-the dict API and, run through cli._encode, the byte-for-byte oracle of
-report_to_json.
-
-A line holding an integer past the interpreter's limit on integer string
-conversion is refused where its text is built, with no bound computed
-beforehand: a ValueError raised while report_to_json or _scan_line formats
-is handed to _check_digits over the record or the values, which refuses or
-lets the error go on.  report_to_dict builds no text, so it calls
-_check_digits itself.
+pass.  A line holding an integer past the interpreter's limit on integer
+string conversion is refused where its text is built, with no bound
+computed beforehand: a ValueError raised while _line formats is handed to
+_check_digits over the values, which refuses or lets the error go on.
+report_to_dict builds no text, so it calls _check_digits itself.
 """
 
 from __future__ import annotations
@@ -82,7 +80,7 @@ from .topology import (
     exponent_vector,
 )
 
-__all__ = ["LinkReport", "classify_link", "scan_links", "report_to_dict", "report_to_json"]
+__all__ = ["LinkReport", "classify_link", "scan_links", "report_to_dict"]
 
 
 @dataclass(slots=True)
@@ -98,12 +96,22 @@ class LinkReport:
 
 
 def classify_link(values: Sequence[int]) -> LinkReport:
+    original, a, _, comps, p, num, d, signature = _link_state(values)
+    return _link_report(original, a, comps, p, num, d, signature)
+
+
+def _link_state(values: Sequence[int]) -> tuple:
+    """The state _walk yields for the vector of values, with the entries as
+    given in front: (original, a, text, comps, p, num, d, signature).  The
+    vector is validated once (tau_kernel, at even n, once more) and its
+    components come from build_gcd_graph's fold."""
     original = _integers(values)
     a = exponent_vector(original)
     comps = _gcd_components(a)
     signature = tau_kernel(a) if len(a) % 2 == 1 else None  # n = len(a) - 1 is even
     p = prod(a)
-    return _link_report(original, a, comps, p, sum(p // ai for ai in a), lcm(*a), signature)
+    text = ", ".join(map(str, a))
+    return original, a, text, comps, p, sum(p // ai for ai in a), lcm(*a), signature
 
 
 def scan_links(
@@ -171,14 +179,20 @@ def _link_report(
     return LinkReport(original, a, n, 2 * n - 1, sphere, stability, signature, diffeo)
 
 
-def _scan_line(
-    a: tuple, text: str, comps, p: int, num: int, d: int, signature, filt: str
+_JSON_BOOL = ("false", "true")
+
+
+def _line(
+    original: tuple, a: tuple, text: str, comps, p: int, num: int, d: int, signature, filt: str
 ) -> Optional[str]:
-    """report_to_json(_link_report(a, a, comps, p, num, d, signature)) + "\n"
-    for a vector _walk yields with its text, built from the same values and
-    decisions with no record built, or None when filt ("all", "sphere" or
-    "se-sphere") drops the vector.  Every check runs on every vector, kept
-    or not, as it does when its record is built."""
+    """The JSON line of _link_report(original, a, comps, p, num, d,
+    signature), as report_to_dict's record run through cli._encode prints
+    it, "\n" included, or None when filt ("all", "sphere" or "se-sphere")
+    drops the vector.  The arguments are a state that _walk or _link_state
+    gives, with the entries as given in front (a itself on a scan); the line
+    is built from the same values and decisions as the record, with no
+    record built.  Every check runs on every vector, kept or not, as it does
+    when its record is built."""
     n = len(a) - 1
     isolated, ev = _split_components(a, comps)
     members = ev[0] if ev else ()
@@ -196,27 +210,58 @@ def _scan_line(
     g = gcd(num, p)
     num, den = num // g, p // g  # sum 1/a_i in lowest terms
     try:
-        return _format(
-            text, text, n, 2 * n - 1, is_sphere, condition, reason,
-            "], [".join([c[2] for c in comps]),
-            ", ".join([str(a[i]) for i in isolated]),
-            ev[2] if ev else "",
-            _ratio(num, den), log_fano, semi, poly, boundary, d,
-            '", "'.join(map(str, weights)), index, _contact(n, index), poly,
-            signature, class_mod_bp, order, arf, group,
-        ) + "\n"
+        # the joined texts are built before the f-string: an f-string
+        # expression may not hold its own quote character before 3.12
+        given = text if original is a else ", ".join(map(str, original))
+        joined = "], [".join([c[2] for c in comps])
+        alone = ", ".join([str(a[i]) for i in isolated])
+        reeb = '", "'.join(map(str, weights))
+        line = (
+            f'{{"vector": [{text}], "input_vector": [{given}], "n": {n}, '
+            f'"link_dimension": {2 * n - 1}, '
+            f'"homotopy_sphere": {_JSON_BOOL[is_sphere]}, '
+            f'"condition": {"null" if condition is None else _json_str(condition)}, '
+            f'"reason": {_json_str(reason)}, '
+            f'"graph": {{"components": [[{joined}]], "isolated": [{alone}], '
+            f'"ev_component": [{ev[2] if ev else ""}]}}, '
+            f'"stability": {{"sum_recip": "{_ratio(num, den)}", '
+            f'"log_fano": {_JSON_BOOL[log_fano]}, "k_semistable": {_JSON_BOOL[semi]}, '
+            f'"k_polystable": {_JSON_BOOL[poly]}, '
+            f'"boundary_semistable": {_JSON_BOOL[boundary]}, '
+            f'"d": "{d}", "weights": ["{reeb}"], "index_invariant": "{index}", '
+            f'"contact": {_json_str(_contact(n, index))}}}, '
+            f'"se_metric": {_JSON_BOOL[poly]}'
+        )
+        if signature is not None:
+            line += (
+                f', "tau": {signature.tau}, "tau_plus": {signature.plus_count}, '
+                f'"tau_minus": {signature.minus_count}, '
+                f'"boundary_skipped": {signature.boundary_skipped}, '
+                f'"tau_method": {_json_str(signature.method)}'
+            )
+        if class_mod_bp is not None:
+            line += (
+                f', "class": "{class_mod_bp} mod {order}", '
+                f'"standard_sphere": {_JSON_BOOL[class_mod_bp == 0]}'
+            )
+        elif arf is not None:
+            line += (
+                f', "arf": {arf}, "bp_group": {_json_str(group)}, '
+                f'"kervaire_sphere": {_JSON_BOOL[arf == 1]}'
+            )
+        return line + "}\n"
     except ValueError:  # an integer past the interpreter's limit, or a fault
-        _check_digits((a, num, den, d, weights, index, signature, order))
+        _check_digits((original, num, den, d, weights, index, signature, order))
         raise
 
 
 def _check_digits(record) -> None:
     """Refuse a record when the longest integer in it has more decimal
     digits than the interpreter's limit on integer string conversion.  It
-    walks the whole record, so report_to_json, _scan_line (on the values it
-    formats) and cli._emit call it only when turning the record into text
-    has raised a ValueError, and re-raise that error when it does not
-    refuse; report_to_dict, which builds no text, calls it on every record."""
+    walks the whole record, so _line (on the values it formats) and
+    cli._emit call it only when turning the record into text has raised a
+    ValueError, and re-raise that error when it does not refuse;
+    report_to_dict, which builds no text, calls it on every record."""
     limit = sys.get_int_max_str_digits()
     if not limit:  # 0: no limit
         return
@@ -248,7 +293,7 @@ def _ints(x) -> Iterator[int]:
 
 def report_to_dict(r: LinkReport) -> dict:
     """The record as a dict of JSON values, in the printed key order: the
-    oracle of report_to_json, which prints it."""
+    oracle of _line, which prints it."""
     _check_digits(r)
     sphere, stab = r.sphere, r.stability
     g = sphere.graph
@@ -293,92 +338,3 @@ def report_to_dict(r: LinkReport) -> dict:
         out["bp_group"] = r.diffeo.group
         out["kervaire_sphere"] = r.diffeo.arf == 1
     return out
-
-
-_JSON_BOOL = ("false", "true")
-
-
-def report_to_json(r: LinkReport) -> str:
-    """The JSON line of report_to_dict(r), byte for byte as cli._encode
-    prints it (", " and ": " separators, ensure_ascii): _format over r's
-    fields, with no dict built and no general encoder pass."""
-    sphere, stab, diffeo = r.sphere, r.stability, r.diffeo
-    g = sphere.graph
-    class_mod_bp = order = arf = group = None
-    if isinstance(diffeo, EvenDiffeoClass):
-        class_mod_bp, order = diffeo.class_mod_bp, diffeo.bp.order
-    elif isinstance(diffeo, OddDiffeoClass):
-        arf, group = diffeo.arf, diffeo.group
-    try:
-        text = list(map(str, r.vector))
-        vector = ", ".join(text)
-        if r.input_vector != r.vector:
-            input_vector = ", ".join(map(str, r.input_vector))
-        else:
-            input_vector = vector
-        at = text.__getitem__  # the graph's vertices are the vector, as _link_report builds it
-        return _format(
-            vector, input_vector, r.n, r.link_dimension, sphere.is_homotopy_sphere,
-            sphere.condition, sphere.reason,
-            "], [".join([", ".join(map(at, c)) for c in g.components]),
-            ", ".join(map(at, g.isolated)),
-            ", ".join(map(at, g.ev_component)),
-            to_jsonable(stab.sum_recip), stab.log_fano, stab.k_semistable,
-            stab.k_polystable, stab.boundary_semistable, stab.d,
-            '", "'.join(map(str, stab.weights)),
-            stab.index_invariant, stab.contact, stab.se_metric_exists,
-            r.signature, class_mod_bp, order, arf, group,
-        )
-    except ValueError:  # an integer past the interpreter's limit, or a fault
-        _check_digits(r)
-        raise
-
-
-def _format(
-    vector, input_vector, n, link_dimension, is_sphere, condition, reason, components, isolated,
-    ev, sum_recip, log_fano, semi, poly, boundary, d, weights, index, contact, se_metric,
-    signature, class_mod_bp, order, arf, group,
-) -> str:
-    """The JSON line of one record from its plain values, in report_to_dict's
-    key order, as one f-string.  vector, input_vector, isolated, ev and
-    weights are the texts of their entries joined by ", " (weights by
-    '", "'), components the texts of the components joined by "], [", and
-    sum_recip the "num/den" text of sum 1/a_i.  class_mod_bp and order
-    (|bP_4m|) are given for a homotopy sphere of even n, arf and group for
-    one of odd n, and are None otherwise.  Strings of the record go through
-    json's own ensure_ascii string encoder; the integers that report_to_dict
-    turns into decimal strings are quoted as they are."""
-    out = (
-        f'{{"vector": [{vector}], "input_vector": [{input_vector}], "n": {n}, '
-        f'"link_dimension": {link_dimension}, '
-        f'"homotopy_sphere": {_JSON_BOOL[is_sphere]}, '
-        f'"condition": {"null" if condition is None else _json_str(condition)}, '
-        f'"reason": {_json_str(reason)}, '
-        f'"graph": {{"components": [[{components}]], "isolated": [{isolated}], '
-        f'"ev_component": [{ev}]}}, '
-        f'"stability": {{"sum_recip": "{sum_recip}", '
-        f'"log_fano": {_JSON_BOOL[log_fano]}, "k_semistable": {_JSON_BOOL[semi]}, '
-        f'"k_polystable": {_JSON_BOOL[poly]}, '
-        f'"boundary_semistable": {_JSON_BOOL[boundary]}, '
-        f'"d": "{d}", "weights": ["{weights}"], "index_invariant": "{index}", '
-        f'"contact": {_json_str(contact)}}}, '
-        f'"se_metric": {_JSON_BOOL[se_metric]}'
-    )
-    if signature is not None:
-        out += (
-            f', "tau": {signature.tau}, "tau_plus": {signature.plus_count}, '
-            f'"tau_minus": {signature.minus_count}, '
-            f'"boundary_skipped": {signature.boundary_skipped}, '
-            f'"tau_method": {_json_str(signature.method)}'
-        )
-    if class_mod_bp is not None:
-        out += (
-            f', "class": "{class_mod_bp} mod {order}", '
-            f'"standard_sphere": {_JSON_BOOL[class_mod_bp == 0]}'
-        )
-    elif arf is not None:
-        out += (
-            f', "arf": {arf}, "bp_group": {_json_str(group)}, '
-            f'"kervaire_sphere": {_JSON_BOOL[arf == 1]}'
-        )
-    return out + "}"

@@ -23,7 +23,7 @@ import bplinks
 from bplinks import arith, cli, errors, families, lattice, moduli, report, topology
 from bplinks.cli import main
 from bplinks.primes import is_prime
-from bplinks.report import classify_link, report_to_dict, report_to_json
+from bplinks.report import classify_link, report_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -308,16 +308,16 @@ def test_scan_prints_what_classify_link_says(n, amax, filt, cache):
 
 @pytest.mark.parametrize("n, amax", [(3, 6), (4, 5), (5, 5), (6, 5)])
 def test_scan_prints_report_to_json_of_classify_link_byte_for_byte(n, amax):
-    # scan formats each line from the walk's values, classify from a record:
-    # every filter, with no, a cold and a warm cache, prints the same bytes
-    vectors = combinations_with_replacement(range(2, amax + 1), n + 1)
-    reports = [classify_link(v) for v in vectors]
+    # scan formats each line from the walk's values, with no record built:
+    # every filter, with no, a cold and a warm cache, prints the bytes of
+    # scan_links's records run through the encoder of every other command
+    reports = list(report.scan_links(n, amax))
     assert {r.sphere.is_homotopy_sphere and r.stability.se_metric_exists for r in reports} == {
         True,
         False,
     }
     for filt in ("all", "sphere", "se-sphere"):
-        want = "".join(report_to_json(r) + "\n" for r in reports if _kept(r, filt))
+        want = "".join(cli._encode(report_to_dict(r)) + "\n" for r in reports if _kept(r, filt))
         for cache in (None, "cold", "warm"):
             argv = ["scan", "--n", str(n), "--amax", str(amax), "--filter", filt]
             with tempfile.TemporaryDirectory() as tmp:
@@ -330,6 +330,23 @@ def test_scan_prints_report_to_json_of_classify_link_byte_for_byte(n, amax):
                 with redirect_stdout(out), redirect_stderr(io.StringIO()):
                     assert main(argv) == 0
             assert out.getvalue() == want, (filt, cache)
+
+
+def test_classify_and_scan_print_with_no_record_built(capsys, monkeypatch):
+    argvs = [
+        ["classify", "341", "2", "339", "338", "2"],
+        ["classify", "2", "3", "5", "7", "11", "13"],
+        ["scan", "--n", "4", "--amax", "6"],
+        ["scan", "--n", "5", "--amax", "6", "--filter", "sphere"],
+    ]
+    want = [(main(argv), capsys.readouterr()) for argv in argvs]
+
+    def fail(*args):
+        raise AssertionError("a record was built")
+
+    monkeypatch.setattr(report, "_link_report", fail)
+    assert [(main(argv), capsys.readouterr()) for argv in argvs] == want
+    assert [code for code, _ in want] == [0] * len(argvs)
 
 
 def test_scan_even_split_is_an_invariant_violation(capsys, monkeypatch):
@@ -540,6 +557,32 @@ def test_scan_refuses_corrupt_cache(capsys, tmp_path):
     code, _, err = run_cli(capsys, "scan", "--n", "4", "--amax", "4", "--cache", str(cache))
     assert code == 1
     assert "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "line, code, message",
+    [(0, 1, "line 1: bad version header"), (1, 1, "line 2: corrupt record"), (-1, 0, "torn")],
+    ids=["header", "record", "torn-last-line"],
+)
+def test_scan_refuses_cache_holding_an_integer_too_long_to_read(
+    capsys, tmp_path, line, code, message
+):
+    # json.loads raises a plain ValueError, no JSONDecodeError, on an integer
+    # longer than the interpreter converts: it is a line that does not parse
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no limit on integer string conversion")
+    cache = tmp_path / "scan.cache"
+    assert run_cli(capsys, "scan", "--n", "4", "--amax", "4", "--cache", str(cache))[0] == 0
+    lines = cache.read_text().splitlines()
+    rec = json.loads(lines[line])
+    field = "tau" if "tau" in rec else "version"
+    lines[line] = json.dumps({**rec, field: None}).replace("null", "9" * (limit + 1))
+    torn = line == -1  # the last line, short of its newline, is a torn write
+    cache.write_text("\n".join(lines) + ("" if torn else "\n"))
+    got, out, err = run_cli(capsys, "scan", "--n", "4", "--amax", "4", "--cache", str(cache))
+    assert (got, len(out)) == (code, 21 if torn else 0)  # 21 vectors: 2..4, n = 4
+    assert message in err and "Exceeds" not in err
 
 
 def test_scan_refuses_cache_with_undecodable_bytes(capsys, tmp_path):
@@ -797,7 +840,7 @@ def test_a_printed_integer_too_long_is_refused(capsys, monkeypatch, target, fake
 @pytest.mark.parametrize(
     "module, name, argv",
     [
-        (report, "to_jsonable", ["classify", "2", "2", "2", "3", "5"]),
+        (report, "_ratio", ["classify", "2", "2", "2", "3", "5"]),
         (report, "_ratio", ["scan", "--n", "3", "--amax", "3"]),
         (cli, "to_jsonable", ["family", "standard", "--m", "2", "--k", "2"]),
         (cli, "to_jsonable", ["euler", "--n", "6", "--p", "8", "--l", "3"]),

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -35,3 +36,15 @@ def test_every_benchmark_span_target_is_a_callable_of_the_package():
         if not callable(owner):
             missing.append(f"{module}.{attr_path}")
     assert missing == []
+
+
+def test_every_module_parses_as_the_oldest_supported_python():
+    # pyproject.toml declares requires-python >= 3.10, so no module may use
+    # a later version's grammar; feature_version rejects the forms that the
+    # parser versions, and an interpreter before 3.12 also rejects an
+    # f-string that holds its own quote character (PEP 701)
+    src = Path(bplinks.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):  # the check sees a 3.11 form
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

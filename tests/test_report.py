@@ -1,6 +1,8 @@
 import ast
+import io
 import json
 import sys
+from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -14,11 +16,11 @@ from test_topology import oracle_arf, oracle_condition, oracle_gcd_graph
 import bplinks
 from bplinks import lattice, report, stability, topology
 from bplinks.arith import BPOrder
-from bplinks.cli import _encode
+from bplinks.cli import _encode, main
 from bplinks.errors import RefusalError
 from bplinks.families import FamilySpec
 from bplinks.lattice import SignatureResult, tau_brute
-from bplinks.report import classify_link, report_to_dict, report_to_json, scan_links
+from bplinks.report import classify_link, report_to_dict, scan_links
 from bplinks.stability import (
     CONTACT_INCONCLUSIVE,
     CONTACT_INDIVISIBLE,
@@ -210,21 +212,29 @@ def test_a_record_prints_up_to_the_interpreter_limit_and_refuses_past_it():
     longest = replace(rep, stability=replace(rep.stability, d=10**limit - 1))
     too_long = replace(rep, stability=replace(rep.stability, d=10**limit))
     signature = replace(rep.signature, plus_count=10**limit)
-    for as_dict in (report_to_dict, lambda r: json.loads(report_to_json(r))):
-        assert len(as_dict(longest)["stability"]["d"]) == limit
-        with pytest.raises(RefusalError, match="decimal digits in one integer") as err:
-            as_dict(too_long)
-        assert (err.value.estimate, err.value.budget) == (limit + 1, limit)
-        with pytest.raises(RefusalError):
-            as_dict(replace(rep, signature=signature))
+    assert len(report_to_dict(longest)["stability"]["d"]) == limit
+    with pytest.raises(RefusalError, match="decimal digits in one integer") as err:
+        report_to_dict(too_long)
+    assert (err.value.estimate, err.value.budget) == (limit + 1, limit)
+    with pytest.raises(RefusalError):
+        report_to_dict(replace(rep, signature=signature))
+    # the printed line, built by the leaf from the values of the same vector
+    *state, sig = report._link_state((2, 3, 5, 7, 11))
+    count = 10**limit - 1
+    line = report._line(*state, replace(sig, plus_count=count), "all")
+    assert json.loads(line)["tau_plus"] == count
+    with pytest.raises(RefusalError, match="decimal digits in one integer") as err:
+        report._line(*state, replace(sig, plus_count=count + 1), "all")
+    assert (err.value.estimate, err.value.budget) == (limit + 1, limit)
 
 
-# report_to_json formats the printed line itself; report_to_dict run through
-# cli._encode, the encoder of every other command, is its oracle
+# the leaf report._line formats the printed line itself; report_to_dict run
+# through cli._encode, the encoder of every other command, is its oracle
 @pytest.mark.parametrize("n, amax", [(3, 12), (4, 8), (5, 9), (6, 7), (7, 6)])
 def test_report_to_json_is_the_encoded_dict_on_every_scanned_record(n, amax):
-    for rep in scan_links(n, amax):
-        assert report_to_json(rep) == _encode(report_to_dict(rep)), rep.vector
+    for state, rep in zip(report._walk(n, amax, {}), scan_links(n, amax), strict=True):
+        line = report._line(state[0], *state, "all")
+        assert line == _encode(report_to_dict(rep)) + "\n", rep.vector
 
 
 def _entries(n):
@@ -242,11 +252,15 @@ def _entries(n):
 def test_report_to_json_is_the_encoded_dict_on_shuffled_vectors():
     seen = set()
 
+    # classify's stdout, printed by the leaf, against the encoded record
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(3, 8).flatmap(_entries).flatmap(st.permutations))
     def check(values):
         rep = classify_link(values)
-        assert report_to_json(rep) == _encode(report_to_dict(rep))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["classify", *map(str, values)]) == 0
+        assert out.getvalue() == _encode(report_to_dict(rep)) + "\n"
         seen.update([rep.sphere.condition, type(rep.diffeo), rep.input_vector != rep.vector])
 
     check()
@@ -397,7 +411,7 @@ def test_no_slotted_record_is_a_dict_key_or_a_set_member():
             holder_attrs.add(ast.unparse(node.target))
     assert {"classify_link", "scan_links", "build_gcd_graph", "k_stability"} <= producers
     assert {"sphere", "stability", "graph"} <= holder_attrs
-    assert "rep" in _holder_names(trees["cli.py"], producers)
+    assert {"r", "sphere", "stability"} <= _holder_names(trees["report.py"], producers)
     assert {"g", "cls"} <= _holder_names(trees["topology.py"], producers)
     found = {
         name: _hashing_sites(tree, _holder_names(tree, producers), producers, holder_attrs)
