@@ -23,20 +23,19 @@ the recomputed one in any field.  Its one stderr line counts the links
 matched and the vectors walked and, with --cache, the cache hits and
 writes; it holds no timings, so it is as deterministic as stdout.
 
-classify and scan print each link through report._line, the one writer of
-its JSON line, from plain values with no record object and no dict built:
-classify on report._link_state of its exponents, scan on each state of the
-walk.  Every other JSON line, on stdout and in the scan cache, goes through
-one module-level encoder, _encode, which also encodes report_to_dict's
-records in the tests as _line's oracle.  It is json.dumps's encoder without
-the circular-reference check: each record is a freshly built tree with no
-cycles, so the id() markers that check fills for every container of every
-record buy nothing.  Separators, ensure_ascii and allow_nan keep their
-defaults, so the bytes are json.dumps's.  _line and _emit build a whole
-line under one guard: a ValueError raised while building it is a refusal
-(exit 1) when report._check_digits finds an integer of the record past the
-interpreter's limit on integer string conversion, and otherwise goes on to
-main (exit 2).
+scan prints each vector through report._line, from the walk's values with
+no record object and no dict built.  Every other JSON line, on stdout and
+in the scan cache, goes through one module-level encoder, _encode: classify
+prints report_to_dict of classify_link's record through it, and in the
+tests it encodes report_to_dict's records as _line's oracle.  It is
+json.dumps's encoder without the circular-reference check: each record is
+a freshly built tree with no cycles, so the id() markers that check fills
+for every container of every record buy nothing.  Separators, ensure_ascii
+and allow_nan keep their defaults, so the bytes are json.dumps's.  _line
+and _emit build a whole line under one guard: a ValueError raised while
+building it is a refusal (exit 1) when report._check_digits finds an
+integer of the record past the interpreter's limit on integer string
+conversion, and otherwise goes on to main (exit 2).
 
 A reader that closes stdout (bplinks scan ... | head -1) ends any command
 with exit 1 and no traceback: main catches the BrokenPipeError, flushing
@@ -62,8 +61,8 @@ from .families import TauFit, brieskorn_reference, fit_exotic_tau, gen_exotic, g
 from .families import gen_standard
 from .lattice import SignatureResult, tau_brute, tau_kernel
 from .moduli import mean_euler, moduli_dimension
-from .report import _check_digits, _line, _link_state, _walk
-from .topology import _brieskorn, _gcd_components, _split_components
+from .report import _check_digits, _line, _walk, classify_link, report_to_dict
+from .topology import _gcd_components, _sphere_values
 from .topology import diffeo_class_even, exponent_vector
 
 CACHE_VERSION = 1
@@ -198,7 +197,7 @@ def _cached_signature(rec: dict) -> SignatureResult:
 
 
 def _cmd_classify(args) -> int:
-    sys.stdout.write(_line(*_link_state(args.exponents), "all"))
+    _emit(classify_link(args.exponents), report_to_dict)
     return 0
 
 
@@ -208,10 +207,9 @@ def _cmd_tau(args) -> int:
     sig = engine(a)
     cls = None
     n = len(a) - 1
-    if n % 2 == 0:  # the sphere decision folds the validated a, as classify does
-        isolated, ev = _split_components(a, _gcd_components(a))
-        if _brieskorn(a, isolated, ev[0] if ev else ())[0]:
-            cls = diffeo_class_even(n, sig.tau)
+    # the sphere decision folds the validated a, as classify_link does
+    if n % 2 == 0 and _sphere_values(a, _gcd_components(a))[2]:
+        cls = diffeo_class_even(n, sig.tau)
     _emit((a, sig, cls), _tau_dict)
     return 0
 
@@ -296,7 +294,7 @@ def _cmd_scan(args) -> int:
                     )
                 else:
                     hits += 1
-            line = _line(a, a, text, comps, p, num, d, sig, args.filter)
+            line = _line(a, text, comps, p, num, d, sig, args.filter)
             if line is not None:
                 write(line)
                 count += 1

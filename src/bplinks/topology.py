@@ -107,15 +107,15 @@ def _graph_from_components(a: tuple, comps) -> GcdGraph:
     """The GcdGraph of the sorted, validated vector a whose components are
     comps, as _join_vertex carries them."""
     isolated, ev = _split_components(a, comps)
-    return GcdGraph(a, tuple([c[0] for c in comps]), isolated, ev[0] if ev else ())
+    return GcdGraph(a, tuple([c[0] for c in comps]), isolated, ev[0])
 
 
 def _split_components(a: tuple, comps) -> tuple:
     """(isolated, ev) of the sorted vector a whose components are comps:
     the indices of its isolated points, and the one component of comps
-    holding its even entries (None when it has none).  A component holds an
-    even entry iff its lcm is even, so one parity test per component finds
-    the evens."""
+    holding its even entries, ((), 1, "") when it has none.  A component
+    holds an even entry iff its lcm is even, so one parity test per
+    component finds the evens."""
     isolated, ev = [], None
     for comp in comps:
         if len(comp[0]) == 1:
@@ -125,7 +125,15 @@ def _split_components(a: tuple, comps) -> tuple:
             if ev is not None:
                 raise InvariantViolation(f"even entries of {a} lie in more than one component")
             ev = comp
-    return tuple(isolated), ev
+    return tuple(isolated), ev or ((), 1, "")
+
+
+def _sphere_values(a: tuple, comps) -> tuple:
+    """(isolated, ev, is_homotopy_sphere, condition, reason) of the sorted
+    vector a whose components are comps: _split_components, then
+    _brieskorn on its isolated points and its ev-component's indices."""
+    isolated, ev = _split_components(a, comps)
+    return (isolated, ev, *_brieskorn(a, isolated, ev[0]))
 
 
 def _join_vertex(comps: tuple, a: tuple, i: int, text: str) -> tuple:

@@ -332,10 +332,8 @@ def test_scan_prints_report_to_json_of_classify_link_byte_for_byte(n, amax):
             assert out.getvalue() == want, (filt, cache)
 
 
-def test_classify_and_scan_print_with_no_record_built(capsys, monkeypatch):
+def test_scan_prints_with_no_record_built(capsys, monkeypatch):
     argvs = [
-        ["classify", "341", "2", "339", "338", "2"],
-        ["classify", "2", "3", "5", "7", "11", "13"],
         ["scan", "--n", "4", "--amax", "6"],
         ["scan", "--n", "5", "--amax", "6", "--filter", "sphere"],
     ]
@@ -840,7 +838,7 @@ def test_a_printed_integer_too_long_is_refused(capsys, monkeypatch, target, fake
 @pytest.mark.parametrize(
     "module, name, argv",
     [
-        (report, "_ratio", ["classify", "2", "2", "2", "3", "5"]),
+        (report, "to_jsonable", ["classify", "2", "2", "2", "3", "5"]),
         (report, "_ratio", ["scan", "--n", "3", "--amax", "3"]),
         (cli, "to_jsonable", ["family", "standard", "--m", "2", "--k", "2"]),
         (cli, "to_jsonable", ["euler", "--n", "6", "--p", "8", "--l", "3"]),
