@@ -8,7 +8,7 @@ in this package.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from math import comb, gcd
 
@@ -119,12 +119,14 @@ def bounded_compositions(sigma: int, parts: int, lo: int, hi: int | None = None)
 
 
 def to_jsonable(x):
-    """The JSON form of an exact value, the one place that decides it.
+    """The JSON form of an exact value or record, the one place that decides it.
 
     A Fraction becomes the string "num/den" in lowest terms (an integral
-    Fraction too: Fraction(3) is "3/1"), a tuple becomes a list, and dicts
-    and lists are converted item by item (dict keys are kept as they are).
-    Anything else is returned unchanged, so ints stay JSON numbers.
+    Fraction too: Fraction(3) is "3/1"), a tuple becomes a list, dicts and
+    lists are converted item by item (dict keys are kept as they are), and
+    a dataclass record is read field by field, in field order as
+    dataclasses.asdict reads it, into a dict.  Anything else is returned
+    unchanged, so ints stay JSON numbers.
     """
     if isinstance(x, Fraction):
         return _ratio(x.numerator, x.denominator)
@@ -132,6 +134,8 @@ def to_jsonable(x):
         return {k: to_jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [to_jsonable(v) for v in x]
+    if is_dataclass(x):
+        return {f.name: to_jsonable(getattr(x, f.name)) for f in fields(x)}
     return x
 
 

@@ -25,14 +25,16 @@ writes; it holds no timings, so it is as deterministic as stdout.
 
 scan prints each vector through report._line, from the walk's values with
 no record object and no dict built.  Every other JSON line, on stdout and
-in the scan cache, goes through one module-level encoder, _encode: classify
-prints report_to_dict of classify_link's record through it, and in the
-tests it encodes report_to_dict's records as _line's oracle.  It is
-json.dumps's encoder without the circular-reference check: each record is
-a freshly built tree with no cycles, so the id() markers that check fills
-for every container of every record buy nothing.  Separators, ensure_ascii
-and allow_nan keep their defaults, so the bytes are json.dumps's.  _line
-and _emit build a whole line under one guard: a ValueError raised while
+in the scan cache, is built by _json_line, the one caller of the
+module-level encoder _encode: classify prints report_to_dict of
+classify_link's record, family and euler arith.to_jsonable of theirs, and
+the tests encode report_to_dict's records with _encode as _line's oracle.
+_encode is json.dumps's encoder without the circular-reference check: each
+record is a freshly built tree with no cycles, so the id() markers that
+check fills for every container of every record buy nothing.  Separators,
+ensure_ascii and allow_nan keep their defaults, so the bytes are
+json.dumps's.  _line and _json_line build a whole line under one guard,
+which covers the scan cache's records too: a ValueError raised while
 building it is a refusal (exit 1) when report._check_digits finds an
 integer of the record past the interpreter's limit on integer string
 conversion, and otherwise goes on to main (exit 2).
@@ -51,7 +53,6 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -62,26 +63,24 @@ from .families import gen_standard
 from .lattice import SignatureResult, tau_brute, tau_kernel
 from .moduli import mean_euler, moduli_dimension
 from .report import _check_digits, _line, _walk, classify_link, report_to_dict
-from .topology import _gcd_components, _sphere_values
-from .topology import diffeo_class_even, exponent_vector
+from .topology import _gcd_components, _sphere_values, diffeo_class_even
 
 CACHE_VERSION = 1
 
 _encode = json.JSONEncoder(check_circular=False).encode
 
 
-def _emit(record, to_dict) -> None:
-    """Print to_dict(record) as one JSON line, built whole before it is written."""
+def _json_line(record, to_dict) -> str:
+    """to_dict(record) as one JSON line, built whole before it is written."""
     try:
-        line = _encode(to_dict(record)) + "\n"
+        return _encode(to_dict(record)) + "\n"
     except ValueError:  # an integer past the interpreter's limit, or a fault
         _check_digits(record)
         raise
-    sys.stdout.write(line)
 
 
-def _as_json(record) -> dict:
-    return to_jsonable(asdict(record))
+def _emit(record, to_dict) -> None:
+    sys.stdout.write(_json_line(record, to_dict))
 
 
 def _diag(msg: str) -> None:
@@ -118,7 +117,7 @@ class ScanCache:
         self._fh.close()
 
     def _append(self, rec: dict) -> None:
-        self._fh.write(_encode(rec) + "\n")
+        self._fh.write(_json_line(rec, dict))
         self._fh.flush()
 
     def _load(self) -> bool:
@@ -202,9 +201,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    a = exponent_vector(args.exponents)
     engine = tau_brute if args.method == "brute" else tau_kernel
-    sig = engine(a)
+    sig = engine(args.exponents)  # validates the vector, so a below is valid
+    a = tuple(sorted(args.exponents))
     cls = None
     n = len(a) - 1
     # the sphere decision folds the validated a, as classify_link does
@@ -251,7 +250,7 @@ def _cmd_family(args) -> int:
         spec = gen_exotic(args.m, args.k, args.l, args.q)
     else:
         spec = brieskorn_reference(args.m, args.k, args.sign)
-    _emit(spec, _as_json)
+    _emit(spec, to_jsonable)
     return 0
 
 
@@ -262,7 +261,7 @@ def _cmd_bp_order(args) -> int:
 
 def _cmd_moduli(args) -> int:
     dim = moduli_dimension(args.n, args.p, args.l)
-    _emit(dim, lambda d: {**asdict(d), "agree": d.agree})
+    _emit(dim, lambda d: {**to_jsonable(d), "agree": d.agree})
     if not dim.agree:
         _diag("moduli: DP and closed form disagree")
         return 3
@@ -270,7 +269,7 @@ def _cmd_moduli(args) -> int:
 
 
 def _cmd_euler(args) -> int:
-    _emit(mean_euler(args.n, args.p, args.l), _as_json)
+    _emit(mean_euler(args.n, args.p, args.l), to_jsonable)
     return 0
 
 

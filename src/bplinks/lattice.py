@@ -48,11 +48,10 @@ from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .errors import DEFAULT_BUDGET, InvariantViolation, check_budget
+from .errors import InvariantViolation, check_budget
 from .topology import exponent_vector
 
 __all__ = [
-    "DEFAULT_BUDGET",
     "SignatureResult",
     "strip_count_2d",
     "tau_brute",

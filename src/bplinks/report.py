@@ -241,7 +241,7 @@ def _check_digits(record) -> None:
     """Refuse a record when the longest integer in it has more decimal
     digits than the interpreter's limit on integer string conversion.  It
     walks the whole record, so _line (on the values it formats) and
-    cli._emit call it only when turning the record into text has raised a
+    cli._json_line call it only when turning the record into text has raised a
     ValueError, and re-raise that error when it does not refuse;
     report_to_dict, which builds no text, calls it on every record."""
     limit = sys.get_int_max_str_digits()

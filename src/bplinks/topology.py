@@ -70,9 +70,6 @@ class GcdGraph:
     isolated: tuple  # indices of isolated vertices
     ev_component: tuple  # indices of the component holding all even entries
 
-    def isolated_values(self):
-        return tuple(self.vertices[i] for i in self.isolated)
-
 
 def build_gcd_graph(a: Sequence[int]) -> GcdGraph:
     """The gcd graph of a: _join_vertex, the rule scan_links applies at each

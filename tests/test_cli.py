@@ -135,23 +135,24 @@ def test_classify_dimension_125_is_trivial_like_13_and_29(capsys):
         assert (lines[0]["arf"], lines[0]["bp_group"]) == (1, "trivial")
 
 
-def test_tau_validates_its_vector_twice(monkeypatch, capsys):
-    # _cmd_tau validates once and the engine once more; the sphere decision
-    # folds the validated vector, as classify_link does
+def test_tau_validates_its_vector_once(monkeypatch, capsys):
+    # the engine validates the vector and _cmd_tau does not; the sphere
+    # decision folds the vector the engine validated, as classify_link does.
+    # exponent_vector reads the entries through topology._integers, so this
+    # counts its calls through every module's binding
     calls = []
 
     def counting(values):
         calls.append(tuple(values))
-        return exponent_vector(values)
+        return integers(values)
 
-    exponent_vector = topology.exponent_vector
-    for module in (cli, report, lattice, topology):
-        monkeypatch.setattr(module, "exponent_vector", counting)
+    integers = topology._integers
+    monkeypatch.setattr(topology, "_integers", counting)
     for method in ("kernel", "brute"):
         calls.clear()
         code, lines, _ = run_cli(capsys, "tau", "--method", method, "2", "2", "2", "3", "5")
         assert code == 0 and lines[0]["class"] == "1 mod 28"
-        assert len(calls) == 2, method
+        assert len(calls) == 1, method
 
 
 def test_qpfit_starts_at_least_admissible_q(capsys):
@@ -447,6 +448,26 @@ def test_scan_stdout_bytes_golden_digest(capsys, argvs, digest):
     assert [main(argv) for argv in argvs] == [0] * len(argvs)
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the raw stdout of the two commands no other golden test pins
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["family", "standard", "--m", "2", "--k", "3"],
+            "2c7228332f083327b415780467fd6f74bb32d7cb58aaeacf2defc197eaf4ee52",
+        ),
+        (
+            ["tau", "--method", "brute", "2", "2", "2", "3", "5"],
+            "24dcacec14eb36a45acaa8f3d0e19cad0e817547d1a450f8c21ab28fcd5c56af",
+        ),
+    ],
+    ids=["family-standard", "tau-brute"],
+)
+def test_stdout_bytes_golden_digest(capsys, argv, digest):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_scan_cache_file_bytes_golden_digest(capsys, tmp_path):
@@ -803,6 +824,26 @@ def test_euler_of_a_record_too_long_to_print_is_refused(capsys):
     code, lines, err = run_cli(capsys, "euler", "--n", "6", "--p", str(10**1500), "--l", "3")
     assert code == 1 and lines == []
     assert "decimal digits in one integer" in err and f"(budget {limit})" in err
+
+
+def test_scan_refuses_a_cache_record_too_long_to_write(capsys, monkeypatch, tmp_path):
+    # the cache record goes through the guard that every printed line does:
+    # the same refusal as the scan without --cache, and no torn record
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no limit on integer string conversion")
+    monkeypatch.setattr(
+        report, "tau_kernel", lambda a: lattice.SignatureResult(10**limit, 0, 0, 0, "kernel")
+    )
+    argv = ["scan", "--n", "4", "--amax", "2"]
+    errs = []
+    for extra in ([], ["--cache", str(tmp_path / "scan.cache")]):
+        code, lines, err = run_cli(capsys, *argv, *extra)
+        assert (code, lines) == (1, [])
+        errs.append(err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("refused: the JSON record would take ~")
+    assert (tmp_path / "scan.cache").read_text() == '{"version": 1}\n'
 
 
 # bp-order, moduli and qpfit: the real record with one integer made too long to print

@@ -48,3 +48,26 @@ def test_every_module_parses_as_the_oldest_supported_python():
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
     with pytest.raises(SyntaxError):  # the check sees a 3.11 form
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+def test_one_function_encodes_json_and_none_imports_asdict():
+    # every JSON line but the scan's link lines is built under the one
+    # refusal guard, and records are read by arith.to_jsonable
+    callers, asdict_imports = [], []
+    src = Path(bplinks.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}  # node -> the innermost function holding it
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func) if node is not func)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "_encode":
+                    callers.append(f"{path.stem}.{owner.get(node, '<module>')}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if any(alias.name.split(".")[-1] == "asdict" for alias in node.names):
+                    asdict_imports.append(path.name)
+    assert callers == ["cli._json_line"]
+    assert asdict_imports == []

@@ -35,7 +35,7 @@ def test_exponent_vector_sorts_and_validates():
 def test_gcd_graph_examples():
     g = build_gcd_graph((2, 2, 2, 3, 5))
     assert [[g.vertices[i] for i in c] for c in g.components] == [[2, 2, 2], [3], [5]]
-    assert g.isolated_values() == (3, 5)
+    assert tuple(g.vertices[i] for i in g.isolated) == (3, 5)
 
     g = build_gcd_graph((2, 2, 2, 2, 2))
     assert len(g.components) == 1
@@ -43,7 +43,7 @@ def test_gcd_graph_examples():
 
     g = build_gcd_graph((2, 2, 82, 86, 94, 101))
     assert tuple(g.vertices[i] for i in g.ev_component) == (2, 2, 82, 86, 94)
-    assert g.isolated_values() == (101,)
+    assert tuple(g.vertices[i] for i in g.isolated) == (101,)
 
 
 def oracle_gcd_graph(a):
